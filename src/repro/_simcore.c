@@ -4,8 +4,11 @@
  * repro.sim.engine.Engine, swapped in by those modules when
  * COMB_COMPILED=1 (see repro.compiled).  The contract is *bit identity*:
  * the heap is ordered by exactly the same (when, priority, seq) key the
- * pure-Python tuples produce, float arithmetic is limited to the same
- * `now + delay` additions CPython performs (IEEE-754 double either way),
+ * pure-Python tuples produce, each entry carries the same (fn, arg) pair
+ * (fn NULL for an Event entry, whose event rides in arg; otherwise a
+ * continuation dispatched as fn(arg) with no Event), float arithmetic is
+ * limited to the same `now + delay` additions CPython performs (IEEE-754
+ * double either way),
  * and every observable side effect (callback order, trace hooks, error
  * messages, events_processed accounting) mirrors the Python source
  * line for line.  All model code stays in Python; only the per-event
@@ -109,7 +112,8 @@ typedef struct {
     double when;
     int prio;
     unsigned long long seq;
-    PyObject *ev; /* strong reference */
+    PyObject *fn;  /* strong reference; NULL for an Event entry */
+    PyObject *arg; /* strong reference: the Event, or fn's argument */
 } HeapEntry;
 
 typedef struct {
@@ -170,9 +174,10 @@ SimEvent_dealloc(SimEvent *self)
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
-/* Core enqueue: push (when, prio, seq, ev) onto the engine's heap. */
+/* Core enqueue: push (when, prio, seq, fn, arg) onto the engine's heap
+ * (fn NULL for an Event entry). */
 static int
-engine_push(SimEngine *e, PyObject *ev, int prio, double when)
+engine_push(SimEngine *e, PyObject *fn, PyObject *arg, int prio, double when)
 {
     if (e->heap_len == e->heap_cap) {
         Py_ssize_t cap = e->heap_cap ? e->heap_cap * 2 : 64;
@@ -186,8 +191,8 @@ engine_push(SimEngine *e, PyObject *ev, int prio, double when)
     }
     unsigned long long seq = e->seq++;
     /* Sift up from the end — identical order to heapq on (when, prio,
-     * seq, event) tuples: the event itself is never compared because
-     * seq is unique. */
+     * seq, fn, arg) tuples: fn and arg are never compared because seq is
+     * unique. */
     Py_ssize_t pos = e->heap_len++;
     HeapEntry *heap = e->heap;
     while (pos > 0) {
@@ -201,11 +206,13 @@ engine_push(SimEngine *e, PyObject *ev, int prio, double when)
         heap[pos] = *p;
         pos = parent;
     }
-    Py_INCREF(ev);
+    Py_XINCREF(fn);
+    Py_INCREF(arg);
     heap[pos].when = when;
     heap[pos].prio = prio;
     heap[pos].seq = seq;
-    heap[pos].ev = ev;
+    heap[pos].fn = fn;
+    heap[pos].arg = arg;
     return 0;
 }
 
@@ -219,7 +226,7 @@ entry_lt(const HeapEntry *a, const HeapEntry *b)
     return a->seq < b->seq;
 }
 
-/* Pop the root into *out (ownership of out->ev transfers to caller). */
+/* Pop the root into *out (ownership of out->fn/arg transfers to caller). */
 static void
 engine_pop(SimEngine *e, HeapEntry *out)
 {
@@ -249,7 +256,7 @@ event_enqueue(SimEvent *self, int priority)
     PyObject *engine = self->engine;
     if (engine != NULL && Py_TYPE(engine) == &SimEngineType) {
         SimEngine *e = (SimEngine *)engine;
-        return engine_push(e, (PyObject *)self, priority, e->now);
+        return engine_push(e, NULL, (PyObject *)self, priority, e->now);
     }
     PyObject *res = PyObject_CallMethod(engine, "_enqueue", "Oi",
                                         (PyObject *)self, priority);
@@ -646,8 +653,10 @@ SimEngine_init(SimEngine *self, PyObject *args, PyObject *kwds)
     Py_INCREF(Py_None);
     Py_XSETREF(self->active_process, Py_None);
     /* Re-init (unlikely): drop any queued events. */
-    for (Py_ssize_t i = 0; i < self->heap_len; i++)
-        Py_CLEAR(self->heap[i].ev);
+    for (Py_ssize_t i = 0; i < self->heap_len; i++) {
+        Py_CLEAR(self->heap[i].fn);
+        Py_CLEAR(self->heap[i].arg);
+    }
     self->heap_len = 0;
     return 0;
 }
@@ -657,8 +666,10 @@ SimEngine_traverse(SimEngine *self, visitproc visit, void *arg)
 {
     Py_VISIT(self->trace);
     Py_VISIT(self->active_process);
-    for (Py_ssize_t i = 0; i < self->heap_len; i++)
-        Py_VISIT(self->heap[i].ev);
+    for (Py_ssize_t i = 0; i < self->heap_len; i++) {
+        Py_VISIT(self->heap[i].fn);
+        Py_VISIT(self->heap[i].arg);
+    }
     return 0;
 }
 
@@ -667,8 +678,10 @@ SimEngine_clear(SimEngine *self)
 {
     Py_CLEAR(self->trace);
     Py_CLEAR(self->active_process);
-    for (Py_ssize_t i = 0; i < self->heap_len; i++)
-        Py_CLEAR(self->heap[i].ev);
+    for (Py_ssize_t i = 0; i < self->heap_len; i++) {
+        Py_CLEAR(self->heap[i].fn);
+        Py_CLEAR(self->heap[i].arg);
+    }
     self->heap_len = 0;
     return 0;
 }
@@ -818,33 +831,52 @@ SimEngine_enqueue(SimEngine *self, PyObject *const *args, Py_ssize_t nargs,
             return NULL;
         Py_DECREF(res);
     }
-    if (engine_push(self, event, priority, self->now + delay_s) < 0)
+    if (engine_push(self, NULL, event, priority, self->now + delay_s) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
 
+/* _call(fn, arg, delay_s=0.0, priority=1): push the continuation
+ * fn(arg) with the key an Event enqueued here would take. */
 static PyObject *
-SimEngine_enqueue_at(SimEngine *self, PyObject *const *args,
-                     Py_ssize_t nargs, PyObject *kwnames)
+SimEngine_call(SimEngine *self, PyObject *const *args, Py_ssize_t nargs,
+               PyObject *kwnames)
 {
-    static const char *const names[] = {"event", "priority", "when_s"};
-    PyObject *bound[3];
-    if (bind_fast(args, nargs, kwnames, names, 3, 3, "_enqueue_at",
-                  bound) < 0)
+    static const char *const names[] = {"fn", "arg", "delay_s", "priority"};
+    PyObject *bound[4];
+    if (bind_fast(args, nargs, kwnames, names, 4, 2, "_call", bound) < 0)
         return NULL;
-    PyObject *event = bound[0];
-    int priority = (int)PyLong_AsLong(bound[1]);
-    if (priority == -1 && PyErr_Occurred())
+    double delay_s = 0.0;
+    if (bound[2] != NULL) {
+        delay_s = PyFloat_AsDouble(bound[2]);
+        if (delay_s == -1.0 && PyErr_Occurred())
+            return NULL;
+    }
+    int priority = 1;
+    if (bound[3] != NULL) {
+        priority = (int)PyLong_AsLong(bound[3]);
+        if (priority == -1 && PyErr_Occurred())
+            return NULL;
+    }
+    if (engine_push(self, bound[0], bound[1], priority,
+                    self->now + delay_s) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* _call_at(fn, arg, when_s): the continuation at an absolute time. */
+static PyObject *
+SimEngine_call_at(SimEngine *self, PyObject *const *args, Py_ssize_t nargs,
+                  PyObject *kwnames)
+{
+    static const char *const names[] = {"fn", "arg", "when_s"};
+    PyObject *bound[3];
+    if (bind_fast(args, nargs, kwnames, names, 3, 3, "_call_at", bound) < 0)
         return NULL;
     double when_s = PyFloat_AsDouble(bound[2]);
     if (when_s == -1.0 && PyErr_Occurred())
         return NULL;
-    if (!PyObject_TypeCheck(event, &SimEventType)) {
-        PyErr_Format(PyExc_TypeError, "_enqueue_at() needs an Event, got %R",
-                     event);
-        return NULL;
-    }
-    if (engine_push(self, event, priority, when_s) < 0)
+    if (engine_push(self, bound[0], bound[1], 1, when_s) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -942,6 +974,38 @@ dispatch_event(SimEngine *self, SimEvent *ev, double when)
     return 0;
 }
 
+/* Dispatch one popped heap entry and release it: a continuation runs
+ * fn(arg) behind the same trace hook, an Event entry goes through
+ * dispatch_event.  Returns 0 on success, -1 with an exception set. */
+static int
+dispatch_entry(SimEngine *self, HeapEntry *entry)
+{
+    int rc = 0;
+    if (entry->fn != NULL) {
+        if (self->trace != NULL && self->trace != Py_None) {
+            PyObject *w = PyFloat_FromDouble(entry->when);
+            PyObject *res = w == NULL ? NULL : PyObject_CallMethodObjArgs(
+                self->trace, s_record_kernel, w, entry->fn, NULL);
+            Py_XDECREF(w);
+            if (res == NULL)
+                rc = -1;
+            Py_XDECREF(res);
+        }
+        if (rc == 0) {
+            PyObject *res = PyObject_CallOneArg(entry->fn, entry->arg);
+            if (res == NULL)
+                rc = -1;
+            Py_XDECREF(res);
+        }
+        Py_DECREF(entry->fn);
+    }
+    else {
+        rc = dispatch_event(self, (SimEvent *)entry->arg, entry->when);
+    }
+    Py_DECREF(entry->arg);
+    return rc;
+}
+
 static PyObject *
 SimEngine_step(SimEngine *self, PyObject *Py_UNUSED(ignored))
 {
@@ -952,15 +1016,14 @@ SimEngine_step(SimEngine *self, PyObject *Py_UNUSED(ignored))
     HeapEntry entry;
     engine_pop(self, &entry);
     if (entry.when < self->now) { /* defensive, mirrors engine.py */
-        Py_DECREF(entry.ev);
+        Py_XDECREF(entry.fn);
+        Py_DECREF(entry.arg);
         PyErr_SetString(g_SimulationError, "event scheduled in the past");
         return NULL;
     }
     self->now = entry.when;
     self->events_processed += 1;
-    int rc = dispatch_event(self, (SimEvent *)entry.ev, entry.when);
-    Py_DECREF(entry.ev);
-    if (rc < 0)
+    if (dispatch_entry(self, &entry) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -1015,9 +1078,7 @@ SimEngine_run(SimEngine *self, PyObject *const *args, Py_ssize_t nargs,
             engine_pop(self, &entry);
             self->now = entry.when;
             n_done += 1;
-            int rc = dispatch_event(self, (SimEvent *)entry.ev, entry.when);
-            Py_DECREF(entry.ev);
-            if (rc < 0)
+            if (dispatch_entry(self, &entry) < 0)
                 goto done;
         }
         if (stop_event->ok == 1) {
@@ -1039,9 +1100,7 @@ SimEngine_run(SimEngine *self, PyObject *const *args, Py_ssize_t nargs,
         engine_pop(self, &entry);
         self->now = entry.when;
         n_done += 1;
-        int rc = dispatch_event(self, (SimEvent *)entry.ev, entry.when);
-        Py_DECREF(entry.ev);
-        if (rc < 0) {
+        if (dispatch_entry(self, &entry) < 0) {
             self->events_processed += n_done;
             return NULL;
         }
@@ -1089,15 +1148,16 @@ SimEngine_set_active_process(SimEngine *self, PyObject *v, void *closure)
 static PyObject *
 SimEngine_get_queue(SimEngine *self, void *closure)
 {
-    /* Debug/test view: the heap as a list of (when, prio, seq, event)
-     * tuples in heap-array order (root first, as heapq keeps it). */
+    /* Debug/test view: the heap as a list of (when, prio, seq, fn, arg)
+     * tuples in heap-array order (root first, as heapq keeps it); fn is
+     * None for an Event entry, exactly as engine.py stores it. */
     PyObject *out = PyList_New(self->heap_len);
     if (out == NULL)
         return NULL;
     for (Py_ssize_t i = 0; i < self->heap_len; i++) {
         HeapEntry *h = &self->heap[i];
-        PyObject *t = Py_BuildValue("(diKO)", h->when, h->prio,
-                                    h->seq, h->ev);
+        PyObject *t = Py_BuildValue("(diKOO)", h->when, h->prio, h->seq,
+                                    h->fn ? h->fn : Py_None, h->arg);
         if (t == NULL) {
             Py_DECREF(out);
             return NULL;
@@ -1155,7 +1215,9 @@ static PyMethodDef SimEngine_methods[] = {
      PyDoc_STR("Run fn() after delay_s seconds; returns the event.")},
     {"_enqueue", (PyCFunction)(void (*)(void))SimEngine_enqueue,
      METH_FASTCALL | METH_KEYWORDS, NULL},
-    {"_enqueue_at", (PyCFunction)(void (*)(void))SimEngine_enqueue_at,
+    {"_call", (PyCFunction)(void (*)(void))SimEngine_call,
+     METH_FASTCALL | METH_KEYWORDS, NULL},
+    {"_call_at", (PyCFunction)(void (*)(void))SimEngine_call_at,
      METH_FASTCALL | METH_KEYWORDS, NULL},
     {"peek", (PyCFunction)SimEngine_peek, METH_NOARGS,
      PyDoc_STR("Time of the next scheduled event, or INFINITY.")},

@@ -1024,6 +1024,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "pattern":
         from .patterns import PatternConfig, run_pattern
+        from .patterns.runner import check_pattern
         from .verify.context import use_sanitizer
 
         sanitizer = _maybe_sanitizer(args.check)
@@ -1040,8 +1041,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             algorithm=args.algorithm,
             grid=tuple(args.grid) if args.grid else (),
         )
+        system = get_system(args.system)
+        try:
+            check_pattern(system, cfg)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         with use_sanitizer(sanitizer):
-            pt = run_pattern(get_system(args.system), cfg)
+            pt = run_pattern(system, cfg)
         algo = f" [{pt.algorithm}]" if pt.algorithm else ""
         print(f"{pt.system}: {pt.pattern}{algo}, {pt.ranks} ranks on "
               f"{pt.topology}, {pt.msg_bytes // 1024} KB, work interval "

@@ -216,32 +216,43 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-#: Simulator packages/modules whose source determines point values.  The
-#: analysis/plotting layers are deliberately excluded: they postprocess
-#: points but never influence them.
+#: Simulator packages/modules whose source determines point values —
+#: including the optional C kernel, which replicates the DES kernel and so
+#: can change every value when edited.  The analysis/plotting layers are
+#: deliberately excluded: they postprocess points but never influence them.
 _SALT_SOURCES = ("sim", "hardware", "transport", "os", "mpi", "core",
-                 "patterns", "config.py")
+                 "patterns", "config.py", "_simcore.c")
 
 _code_salt: Optional[str] = None
+
+
+def salt_files() -> List[Path]:
+    """The source files :func:`code_salt` hashes, in hashing order."""
+    root = Path(__file__).resolve().parent.parent  # src/repro
+    files: List[Path] = []
+    for entry in _SALT_SOURCES:
+        path = root / entry
+        if path.is_dir():
+            files.extend(sorted(path.rglob("*.py")))
+        elif path.exists():  # _simcore.c is absent from a wheel install
+            files.append(path)
+    return files
 
 
 def code_salt() -> str:
     """Hash of the simulator's source files (computed once per process).
 
-    Any edit to the DES kernel, hardware models, transports, MPI layer, or
-    the COMB methods changes the salt and therefore every cache key —
-    stale records can never be returned after a code change.
+    Any edit to the DES kernel (Python or C), hardware models, transports,
+    MPI layer, or the COMB methods changes the salt and therefore every
+    cache key — stale records can never be returned after a code change.
     """
     global _code_salt
     if _code_salt is None:
         root = Path(__file__).resolve().parent.parent  # src/repro
         h = hashlib.sha256()
-        for entry in _SALT_SOURCES:
-            path = root / entry
-            files = sorted(path.rglob("*.py")) if path.is_dir() else [path]
-            for f in files:
-                h.update(str(f.relative_to(root)).encode())
-                h.update(f.read_bytes())
+        for f in salt_files():
+            h.update(str(f.relative_to(root)).encode())
+            h.update(f.read_bytes())
         _code_salt = h.hexdigest()[:16]
     return _code_salt
 

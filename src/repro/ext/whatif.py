@@ -52,37 +52,23 @@ class OffloadNicDevice(PortalsDevice):
 
     def nic_rx(self, pkt: Packet) -> None:
         if pkt.kind is PacketKind.DATA:
-            self.engine.schedule_callback(
-                self.NIC_RX_LATENCY_S, lambda p=pkt: self._rx_commit(p)
-            )
+            step = self._rx_commit
         elif pkt.kind is PacketKind.RTS:
-            self.engine.schedule_callback(
-                self.NIC_RX_LATENCY_S, lambda p=pkt: self._rts_commit(p)
-            )
+            step = self._rts_commit
         elif pkt.kind is PacketKind.CTS:
-            self.engine.schedule_callback(
-                self.NIC_RX_LATENCY_S, lambda p=pkt: self._get_commit(p)
-            )
+            step = self._get_commit
         elif pkt.kind is PacketKind.ACK:
-            self.engine.schedule_callback(
-                self.NIC_RX_LATENCY_S,
-                lambda p=pkt: self._on_ack(p.src, p.meta["cum"]),
-            )
+            step = self._ack_commit
+        else:
+            return
+        self.engine._call(step, pkt, self.NIC_RX_LATENCY_S)
 
-    def _tx_pump(self):
+    def _ack_commit(self, pkt: Packet) -> None:
+        self._on_ack(pkt.src, pkt.meta["cum"])
+
+    def _tx_admitted(self, _arg) -> None:
         """NIC-side transmit: no kernel work per packet."""
-        from ..hardware.nic import SendJob
-
-        while True:
-            req, pkts = yield self._txq.get()
-            for pkt in pkts:
-                yield self._gbn_slot(pkt.dst)
-                pkt.meta["seq"] = self._tx_flow(pkt.dst).register(pkt)
-                on_done = (
-                    (lambda r=req: self._tx_done(r)) if pkt.is_last else None
-                )
-                self.node.nic.submit(SendJob([pkt], on_done=on_done))
-                self._arm_rto(pkt.dst)
+        self._tx_send(None)
 
 
 def offload_nic_system() -> SystemConfig:

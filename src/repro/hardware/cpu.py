@@ -296,13 +296,9 @@ class CPU:
         re-request the CPU (continuing their quantum) before the slot is
         handed to another ready context.
         """
-        ev = Event(self.engine)
-        ev._ok = True
-        ev._value = None
-        ev.callbacks.append(self._dispatch_cb)
-        self.engine._enqueue(ev, 1)
+        self.engine._call(self._dispatch_cb, None)
 
-    def _dispatch_cb(self, _ev) -> None:
+    def _dispatch_cb(self, _arg) -> None:
         self._dispatch()
 
     # ------------------------------------------------------------- accounting
@@ -351,20 +347,13 @@ class CPU:
         job = self._kernel_queue.popleft()
         self._kernel_job = job
         self._kernel_started = self.engine._now
-        # Raw pre-triggered event: same heap insertion and float arithmetic
-        # as engine.timeout(job.cost), minus the Timeout wrapper.  The job
-        # rides in the event value (a completion ``fn`` may submit further
-        # kernel work before this callback finishes, so ``_kernel_job`` is
-        # not reliable at fire time) — a bound method replaces a per-job
-        # closure.
-        timer = Event(self.engine)
-        timer._ok = True
-        timer._value = job
-        timer.callbacks.append(self._kernel_done_cb)
-        self.engine._enqueue(timer, 1, job.cost)
+        # A continuation with the heap key of engine.timeout(job.cost).
+        # The job rides as its argument (a completion ``fn`` may submit
+        # further kernel work before this callback finishes, so
+        # ``_kernel_job`` is not reliable at fire time).
+        self.engine._call(self._kernel_done_cb, job, job.cost)
 
-    def _kernel_done_cb(self, timer: Event) -> None:
-        job = timer._value
+    def _kernel_done_cb(self, job: _KernelJob) -> None:
         self.kernel_time_s += job.cost
         entry = self.kernel_profile.get(job.label)
         if entry is None:
@@ -479,16 +468,13 @@ class CPU:
         completes = remaining <= quantum
         run_for = remaining if completes else quantum
 
-        # Timer state rides in the (otherwise unused) event value; a bound
-        # method replaces a per-arm closure on this hot path.
-        timer = Event(self.engine)
-        timer._ok = True
-        timer._value = (grant, grant.epoch, completes)
-        timer.callbacks.append(self._timer_cb)
-        self.engine._enqueue(timer, 1, run_for)
+        # Timer state rides as the continuation's argument; a bound method
+        # replaces a per-arm closure on this hot path.
+        self.engine._call(self._timer_cb, (grant, grant.epoch, completes),
+                          run_for)
 
-    def _timer_cb(self, timer: Event) -> None:
-        grant, epoch, completes = timer._value
+    def _timer_cb(self, state: tuple) -> None:
+        grant, epoch, completes = state
         if self._running is not grant or grant.epoch != epoch:
             return  # stale timer: grant was preempted meanwhile
         ctx = grant.ctx

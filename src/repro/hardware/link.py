@@ -73,14 +73,12 @@ class Link:
         nbytes = packet.wire_bytes(self.header_bytes)
         self.packets_carried += 1
         self.bytes_carried += nbytes
-        ev = self._pipe.transfer(nbytes, packet)
+        self._pipe.transfer_then(nbytes, self._on_delivered, packet)
         if self.tracer is not None:
             self.tracer.record(self.engine.now, self.name, "wire_tx",
                                (packet.kind.value, packet.msg_id, packet.index))
-        ev.callbacks.append(self._on_delivered)
 
-    def _on_delivered(self, ev) -> None:
-        packet: Packet = ev.value
+    def _on_delivered(self, packet: Packet) -> None:
         if (
             self._loss_rate > 0.0
             and packet.kind is PacketKind.DATA

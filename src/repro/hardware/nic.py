@@ -25,17 +25,11 @@ from typing import Callable, Deque, List, Optional
 
 from ..config import NicConfig
 from ..sim.engine import Engine
-from ..sim.events import Event
-from ..sim.resources import Pipe, Store
+from ..sim.resources import Pipe
 from ..transport.packets import Packet, PacketKind
 
 #: Maximum packets buffered on the NIC between host DMA and the wire.
 NIC_TX_BUFFER_PKTS = 8
-
-#: Fast-pump continuation codes (see :meth:`NIC._hop`).
-_HOP_NEXT_PKT = 0
-_HOP_JOB_DONE = 1
-_HOP_NEXT_JOB = 2
 
 
 class SendJob:
@@ -74,6 +68,9 @@ class SendJob:
 class NIC:
     """One node's network interface."""
 
+    #: The job the legacy transmit loop is sending (set when it takes one).
+    _tx_job: SendJob
+
     def __init__(
         self,
         engine: Engine,
@@ -100,20 +97,26 @@ class NIC:
         self.rx_handler: Optional[Callable[[Packet], None]] = None
         self._bulk: Deque[SendJob] = deque()
         self._urgent: Deque[SendJob] = deque()
-        self._job_ready = Store(engine, name=f"{self.name}.txq")
         self._credits = NIC_TX_BUFFER_PKTS
-        self._credit_waiters: Deque[Event] = deque()
         self.tx_packets = 0
         self.rx_packets = 0
+        # Legacy per-packet transmit loop (see _tx_get): the packet index in
+        # the current job, jobs submitted but not yet taken, and the two
+        # places it can wait — for a job, and for a wire credit.
+        self._tx_i = 0
+        self._tx_tokens = 0
+        self._tx_idle = False
+        self._credit_wait = False
         # Fast transmit pump (see enable_fast): populated by the cluster
-        # builder on exclusive two-node routes; None/False selects the
-        # legacy per-packet generator loop below.
+        # builder on exclusive two-node routes; False selects the legacy
+        # per-packet loop.
         self._fast = False
         self._tx_busy = False
         self._switch = None
         self._routes: dict = {}
         self._domain = None
-        engine.spawn(self._tx_loop(), name=f"{self.name}.tx")
+        # The loop's start-up step: an urgent slot at construction time.
+        engine._call(self._tx_get, None, 0.0, 0)
 
     # ------------------------------------------------------------- fast path
     def enable_fast(self, switch, routes: dict, domain) -> None:
@@ -152,13 +155,16 @@ class NIC:
             if not self._tx_busy:
                 self._tx_busy = True
                 # One zero-delay hop before the first reservation, mirroring
-                # the legacy Store.get wake: pending same-instant events
+                # the legacy loop's wake: pending same-instant events
                 # (deliveries, in particular) stay ordered ahead of us.
-                self._hop(_HOP_NEXT_JOB, None, 0)
+                self.engine._call(self._pump_next, None)
+        elif self._tx_idle:
+            self._tx_idle = False
+            self.engine._call(self._tx_take, None)
         else:
-            self._job_ready.put(None)
+            self._tx_tokens += 1
 
-    def _pump_next(self) -> None:
+    def _pump_next(self, _arg) -> None:
         """Fast pump: start the next queued job (urgent lane first)."""
         job = self._next_job()
         if job is None:
@@ -175,29 +181,23 @@ class NIC:
             ):
                 _Burst(self, job, link)
                 return
-        self._pump_pkt(job, 0)
+        self._pump_pkt((job, 0))
 
-    def _pump_pkt(self, job: SendJob, i: int) -> None:
+    def _pump_pkt(self, state: tuple) -> None:
+        """Start the DMA of packet ``i`` of ``job`` (``state = (job, i)``)."""
+        job, i = state
         cfg = self.config
         pkt = job.packets[i]
-        # The DMA-done event's value is unused downstream, so it carries the
-        # (job, index) continuation state — a bound method replaces a
-        # per-packet closure.
+        # The DMA-done continuation carries the (job, index) state — a
+        # bound method replaces a per-packet closure.
         if pkt.kind is PacketKind.DATA:
-            ev = self.host_bus.transfer(pkt.wire_bytes(cfg.header_bytes), (job, i))
+            self.host_bus.transfer_then(pkt.wire_bytes(cfg.header_bytes),
+                                        self._pkt_out, state)
         else:
             # Control descriptors live on the NIC; fixed setup only.
-            ev = Event(self.engine)
-            ev._ok = True
-            ev._value = (job, i)
-            self.engine._enqueue(ev, 1, cfg.dma_setup_s)
-        ev.callbacks.append(self._pkt_out_cb)
+            self.engine._call(self._pkt_out, state, cfg.dma_setup_s)
 
-    def _pkt_out_cb(self, ev: Event) -> None:
-        job, i = ev._value
-        self._pkt_out(job, i)
-
-    def _pkt_out(self, job: SendJob, i: int) -> None:
+    def _pkt_out(self, state: tuple) -> None:
         """DMA finished for packet ``i``: emit and continue the job.
 
         Merged emission: the legacy path spends two timeout events getting
@@ -208,6 +208,7 @@ class NIC:
         instant, with arithmetic matching the legacy callback chain term
         for term.
         """
+        job, i = state
         pkt = job.packets[i]
         if job.on_packet_out is not None:
             job.on_packet_out(pkt)
@@ -219,43 +220,28 @@ class NIC:
         nbytes = pkt.wire_bytes(link.header_bytes)
         link.packets_carried += 1
         link.bytes_carried += nbytes
-        wev = link._pipe.transfer_at(s, nbytes, pkt)
-        wev.callbacks.append(link._on_delivered)
+        link._pipe.transfer_at_then(s, nbytes, link._on_delivered, pkt)
         # Continue through a zero-delay hop, never synchronously: the legacy
-        # loop resumes via a fresh credit-grant event, so every event already
+        # loop resumes via a fresh credit-grant step, so every event already
         # pending at this instant — a same-instant arrival contending for the
         # shared host bus, above all — acts before the next reservation.
-        # Job-to-job transitions take two hops (credit, then Store.get).
+        # Job-to-job transitions take two hops (credit, then the job wake).
         if i + 1 < len(job.packets):
-            self._hop(_HOP_NEXT_PKT, job, i + 1)
+            self.engine._call(self._pump_pkt, (job, i + 1))
         else:
-            self._hop(_HOP_JOB_DONE, job, 0)
+            self.engine._call(self._pump_job_done, job)
 
-    def _hop(self, code: int, job: Optional[SendJob], i: int) -> None:
-        """Schedule a zero-delay continuation event (fresh heap sequence)."""
-        ev = Event(self.engine)
-        ev._ok = True
-        ev._value = (code, job, i)
-        ev.callbacks.append(self._hop_cb)
-        self.engine._enqueue(ev, 1)
-
-    def _hop_cb(self, ev: Event) -> None:
-        code, job, i = ev._value
-        if code == _HOP_NEXT_PKT:
-            self._pump_pkt(job, i)
-        elif code == _HOP_JOB_DONE:
-            if job.on_done is not None:
-                job.on_done()
-            if self._urgent or self._bulk:
-                self._hop(_HOP_NEXT_JOB, None, 0)
-            else:
-                # Nothing queued: the legacy loop would block in Store.get
-                # here and resume via one fresh event on the next submit —
-                # exactly the hop that submit() schedules when it finds the
-                # pump idle.  Skipping the dead hop changes no ordering.
-                self._tx_busy = False
+    def _pump_job_done(self, job: SendJob) -> None:
+        if job.on_done is not None:
+            job.on_done()
+        if self._urgent or self._bulk:
+            self.engine._call(self._pump_next, None)
         else:
-            self._pump_next()
+            # Nothing queued: the legacy loop would go idle here and resume
+            # via one fresh step on the next submit — exactly the hop that
+            # submit() schedules when it finds the pump idle.  Skipping the
+            # dead hop changes no ordering.
+            self._tx_busy = False
 
     def _next_job(self) -> Optional[SendJob]:
         if self._urgent:
@@ -264,34 +250,62 @@ class NIC:
             return self._bulk.popleft()
         return None
 
-    def _tx_loop(self):
-        cfg = self.config
-        while True:
-            yield self._job_ready.get()
-            job = self._next_job()
-            if job is None:  # token raced with an earlier drain
-                continue
-            for pkt in job.packets:
-                if pkt.kind is PacketKind.DATA:
-                    yield self.host_bus.transfer(pkt.wire_bytes(cfg.header_bytes))
-                else:
-                    # Control descriptors live on the NIC; fixed setup only.
-                    yield self.engine.timeout(cfg.dma_setup_s)
-                if job.on_packet_out is not None:
-                    job.on_packet_out(pkt)
-                yield self._take_credit()
-                self.tx_packets += 1
-                if self.tracer is not None:
-                    self.tracer.record(self.engine.now, self.name, "packet_tx",
-                                       (pkt.kind.value, pkt.msg_id, pkt.index))
-                self.engine.schedule_callback(
-                    cfg.nic_processing_s, lambda p=pkt: self._emit(p)
-                )
-                # Between packets of a bulk job, let urgent jobs cut in.
-                if not job.urgent and self._urgent and pkt is not job.packets[-1]:
-                    pass  # handled naturally: urgent jobs are separate jobs
-            if job.on_done is not None:
-                job.on_done()
+    # The legacy per-packet loop (traced and N-rank runs): a small state
+    # machine whose every wait — for a job, for the DMA, for a wire
+    # credit — resumes through exactly one heap slot, taken the moment
+    # the wait ends.  Per packet: DMA, credit, then a NIC-processing
+    # delay before the uplink; with switch forwarding, wire delivery and
+    # the receiver's DMA that is six heap slots per DATA fragment.
+    def _tx_get(self, _arg=None) -> None:
+        """Wait for the next job: wake at once if one was submitted."""
+        if self._tx_tokens:
+            self._tx_tokens -= 1
+            self.engine._call(self._tx_take, None)
+        else:
+            self._tx_idle = True
+
+    def _tx_take(self, _arg) -> None:
+        job = self._next_job()
+        assert job is not None  # one token per queued job
+        self._tx_job = job
+        self._tx_i = 0
+        self._tx_dma()
+
+    def _tx_dma(self) -> None:
+        pkt = self._tx_job.packets[self._tx_i]
+        if pkt.kind is PacketKind.DATA:
+            self.host_bus.transfer_then(pkt.wire_bytes(self.config.header_bytes),
+                                        self._tx_dma_done)
+        else:
+            # Control descriptors live on the NIC; fixed setup only.
+            self.engine._call(self._tx_dma_done, None, self.config.dma_setup_s)
+
+    def _tx_dma_done(self, _arg) -> None:
+        job = self._tx_job
+        if job.on_packet_out is not None:
+            job.on_packet_out(job.packets[self._tx_i])
+        # Take a wire credit (wait for _return_credit if none is free).
+        if self._credits > 0:
+            self._credits -= 1
+            self.engine._call(self._tx_credit, None)
+        else:
+            self._credit_wait = True
+
+    def _tx_credit(self, _arg) -> None:
+        job = self._tx_job
+        pkt = job.packets[self._tx_i]
+        self.tx_packets += 1
+        if self.tracer is not None:
+            self.tracer.record(self.engine.now, self.name, "packet_tx",
+                               (pkt.kind.value, pkt.msg_id, pkt.index))
+        self.engine._call(self._emit, pkt, self.config.nic_processing_s)
+        self._tx_i += 1
+        if self._tx_i < len(job.packets):
+            self._tx_dma()
+            return
+        if job.on_done is not None:
+            job.on_done()
+        self._tx_get()
 
     def _emit(self, pkt: Packet) -> None:
         if self.uplink is None:
@@ -299,18 +313,10 @@ class NIC:
         self.uplink(pkt)
         self._return_credit()
 
-    def _take_credit(self) -> Event:
-        ev = Event(self.engine)
-        if self._credits > 0:
-            self._credits -= 1
-            ev.succeed()
-        else:
-            self._credit_waiters.append(ev)
-        return ev
-
     def _return_credit(self) -> None:
-        if self._credit_waiters:
-            self._credit_waiters.popleft().succeed()
+        if self._credit_wait:
+            self._credit_wait = False
+            self.engine._call(self._tx_credit, None)
         else:
             self._credits += 1
 
@@ -326,19 +332,16 @@ class NIC:
             self.tracer.record(self.engine.now, self.name, "nic_rx",
                                (packet.kind.value, packet.msg_id, packet.index))
         if packet.kind is PacketKind.DATA:
-            ev = self.host_bus.transfer(
-                packet.wire_bytes(self.config.header_bytes), packet
+            self.host_bus.transfer_then(
+                packet.wire_bytes(self.config.header_bytes), self._rx_done,
+                packet,
             )
-            ev.callbacks.append(self._rx_done_cb)
         else:
-            ev = Event(self.engine)
-            ev._ok = True
-            ev._value = packet
-            ev.callbacks.append(self._rx_done_cb)
-            self.engine._enqueue(ev, 1, self.config.nic_processing_s)
+            self.engine._call(self._rx_done, packet,
+                              self.config.nic_processing_s)
 
-    def _rx_done_cb(self, ev: Event) -> None:
-        self.rx_handler(ev._value)
+    def _rx_done(self, packet: Packet) -> None:
+        self.rx_handler(packet)
 
 
 class _TxStream:
@@ -497,14 +500,11 @@ class _Burst:
     # --------------------------------------------------------- end events
     def _arm(self, at_s: float, fn) -> None:
         engine = self.engine
-        ev = Event(engine)
-        ev._ok = True
         # Absolute insertion: converting to a delay and back would cost a
         # ulp and desynchronize the fire time from the estimate.
-        engine._enqueue_at(ev, 1, at_s if at_s > engine._now else engine._now)
-        ev.callbacks.append(fn)
+        engine._call_at(fn, None, at_s if at_s > engine._now else engine._now)
 
-    def _tx_end(self, _ev) -> None:
+    def _tx_end(self, _arg) -> None:
         now = self.engine._now
         dom = self.domain
         if dom.streams:
@@ -513,12 +513,12 @@ class _Burst:
             dom.materialize(now, tx_strict=True)
         if self.i == self.n and self.tx_done <= now:
             # on_done and the next job go through the NIC's hops, exactly
-            # where the legacy loop's credit + Store.get events put them.
-            self.nic._hop(_HOP_JOB_DONE, self.job, 0)
+            # where the legacy loop's credit grant and job wake put them.
+            self.engine._call(self.nic._pump_job_done, self.job)
         else:
             self._arm(self._estimate_tx(), self._tx_end)
 
-    def _rx_end(self, _ev) -> None:
+    def _rx_end(self, _arg) -> None:
         now = self.engine._now
         dom = self.domain
         if dom.streams:

@@ -74,6 +74,4 @@ class Switch:
             ) from None
         self.packets_forwarded += 1
         # Cut-through forwarding latency, then serialize on the output link.
-        self.engine.schedule_callback(
-            self.config.latency_s, lambda p=packet: out.send(p)
-        )
+        self.engine._call(out.send, packet, self.config.latency_s)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
-from ..config import NicConfig, SwitchConfig
+from ..config import NicConfig, SwitchConfig, SystemConfig
 from ..sim.engine import Engine
 from ..transport.packets import Packet
 from .link import Link
@@ -59,9 +59,16 @@ class Topology:
     #: Registry name (also what scenario/CLI specs use).
     name = "topology"
 
-    def max_nodes(self, cluster: "Cluster") -> int:
-        """Largest node count this topology supports for the system."""
+    def capacity(self, system: SystemConfig) -> int:
+        """Largest node count this topology supports for ``system``;
+        raises :class:`TopologyError` if it cannot be built at all (so
+        callers can reject bad parameters before building a world)."""
         raise NotImplementedError
+
+    def max_nodes(self, cluster: "Cluster") -> int:
+        """Largest node count this topology supports for the cluster's
+        system."""
+        return self.capacity(cluster.system)
 
     def wire(self, cluster: "Cluster", n_nodes: int) -> None:
         """Build switches/links and attach ``n_nodes`` nodes."""
@@ -83,8 +90,8 @@ class Crossbar(Topology):
 
     name = "crossbar"
 
-    def max_nodes(self, cluster: "Cluster") -> int:
-        return cluster.system.machine.switch.ports
+    def capacity(self, system: SystemConfig) -> int:
+        return system.machine.switch.ports
 
     def wire(self, cluster: "Cluster", n_nodes: int) -> None:
         engine = cluster.engine
@@ -201,9 +208,7 @@ class TreeSwitch:
             ) from None
         self.packets_forwarded += 1
         # Cut-through forwarding latency, then serialize on the output link.
-        self.engine.schedule_callback(
-            self.config.latency_s, lambda p=packet: out.send(p)
-        )
+        self.engine._call(out.send, packet, self.config.latency_s)
 
 
 class FatTree(Topology):
@@ -240,23 +245,29 @@ class FatTree(Topology):
         #: Core switches, filled by :meth:`wire`.
         self.cores: List[TreeSwitch] = []
 
-    def _k(self, cluster: "Cluster") -> int:
-        k = self.arity or cluster.system.machine.switch.ports
+    def _k(self, system: SystemConfig) -> int:
+        ports = system.machine.switch.ports
+        k = self.arity or ports
         if k < 2 or k % 2:
             raise TopologyError(
                 f"fat-tree arity must be an even number >= 2, got {k}"
             )
+        if k > ports:
+            # Every fat-tree switch spends k ports (k/2 down, k/2 up).
+            raise TopologyError(
+                f"fat-tree arity {k} exceeds the switch's {ports} ports"
+            )
         return k
 
-    def max_nodes(self, cluster: "Cluster") -> int:
-        k = self._k(cluster)
+    def capacity(self, system: SystemConfig) -> int:
+        k = self._k(system)
         return k * (k // 2)
 
     def wire(self, cluster: "Cluster", n_nodes: int) -> None:
         engine = cluster.engine
         system = cluster.system
         tracer = cluster.tracer
-        k = self._k(cluster)
+        k = self._k(system)
         hosts_per_edge = k // 2
         n_core = k // 2
         if n_nodes > k * hosts_per_edge:
@@ -310,7 +321,7 @@ class FatTree(Topology):
 
     def hops(self, src: int, dst: int, cluster: "Cluster") -> int:
         """Switch hops a packet takes from ``src`` to ``dst``."""
-        hpe = self._k(cluster) // 2
+        hpe = self._k(cluster.system) // 2
         return 1 if src // hpe == dst // hpe else 3
 
     def describe(self) -> str:

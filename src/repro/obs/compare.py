@@ -69,7 +69,7 @@ def scalar_profile(doc: Dict[str, object]) -> Dict[str, float]:
                 if not (isinstance(hist, dict) and name.endswith("_s")):
                     continue
                 count = hist.get("count")
-                total_h = hist.get("sum")
+                total_h = hist.get("total")
                 if (
                     isinstance(count, (int, float)) and count
                     and isinstance(total_h, (int, float))

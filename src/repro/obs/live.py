@@ -210,14 +210,6 @@ class TelemetryChannel:
         except queue_mod.Empty:
             return None
 
-    def drain_nowait(self) -> Optional[Dict[str, Any]]:
-        """Next pending event, or ``None`` immediately."""
-        try:
-            doc = self.queue.get_nowait()
-            return doc if isinstance(doc, dict) else None
-        except queue_mod.Empty:
-            return None
-
     def close(self) -> None:
         """Release the queue's resources (idempotent)."""
         try:

@@ -44,6 +44,9 @@ DEFAULT_STALL_FLOOR_S = 2.0
 DEFAULT_HEARTBEAT_LOSS_FACTOR = 6.0
 #: Period of the hub's synthetic ``progress`` events.
 DEFAULT_PROGRESS_PERIOD_S = 1.0
+#: How long :meth:`TelemetryHub.close` waits for one more queued event
+#: before it considers the queue flushed.
+_FLUSH_WAIT_S = 0.05
 
 
 class CostModel:
@@ -300,7 +303,10 @@ class TelemetryHub:
             self._thread.join(timeout=5.0)
             self._thread = None
         while True:  # flush whatever the workers got in before teardown
-            doc = self.channel.drain_nowait()
+            # A short wait, not get_nowait: a multiprocessing queue moves
+            # items into its pipe from a feeder thread, so an event emitted
+            # just before close() may not be readable at once.
+            doc = self.channel.drain(timeout_s=_FLUSH_WAIT_S)
             if doc is None:
                 break
             self._handle(doc)

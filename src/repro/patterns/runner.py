@@ -21,7 +21,7 @@ from typing import Dict, Iterator
 
 from ..config import SystemConfig
 from ..core.accounting import tally_events
-from ..hardware.topology import make_topology
+from ..hardware.topology import TopologyError, make_topology
 from ..mpi.collectives import barrier_all
 from ..mpi.world import World, build_world
 from .allreduce import AllreducePlan
@@ -51,6 +51,19 @@ def _pattern_system(system: SystemConfig, cfg: PatternConfig) -> SystemConfig:
     return system
 
 
+def check_pattern(system: SystemConfig, cfg: PatternConfig) -> None:
+    """Raise ``ValueError`` unless ``cfg`` can run on ``system`` — the
+    config itself and its topology, checked before any world is built."""
+    validate_config(cfg)
+    topology = make_topology(cfg.topology, cfg.arity)
+    capacity = topology.capacity(_pattern_system(system, cfg))
+    if cfg.ranks > capacity:
+        raise TopologyError(
+            f"{cfg.ranks} ranks exceed the {cfg.topology}'s "
+            f"{capacity}-node capacity"
+        )
+
+
 def build_pattern_world(system: SystemConfig, cfg: PatternConfig) -> World:
     """A fresh world shaped for ``cfg`` (topology + rank count)."""
     topology = make_topology(cfg.topology, cfg.arity)
@@ -60,7 +73,7 @@ def build_pattern_world(system: SystemConfig, cfg: PatternConfig) -> World:
 
 def run_pattern(system: SystemConfig, cfg: PatternConfig) -> PatternPoint:
     """Run one pattern point on a fresh world and return it."""
-    validate_config(cfg)
+    check_pattern(system, cfg)
     world = build_pattern_world(system, cfg)
     samples: Dict[int, RankSample] = {}
     procs = [

@@ -3,6 +3,15 @@
 :class:`Engine` owns the virtual clock and the pending-event heap.  Events
 scheduled for the same timestamp are ordered by (priority, insertion
 sequence), which makes every run fully deterministic.
+
+A heap entry is ``(when, priority, seq, fn, arg)`` and takes one of two
+shapes.  An :class:`Event` entry has ``fn is None`` and the event in
+``arg``: dispatch runs its callbacks.  A *continuation* entry (pushed by
+:meth:`Engine._call` / :meth:`Engine._call_at`) dispatches as
+``fn(arg)`` with no event at all — the shape of the simulator's own
+internal steps (CPU timers, NIC and wire hops, transmit pumps) that no
+process ever waits on.  Both shapes share the key, the sequence counter,
+the trace hook and the ``events_processed`` accounting.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ class Engine:
 
     def __init__(self, start_time: float = 0.0, trace=None):
         self._now = float(start_time)
-        self._queue: List[Tuple[float, int, int, Event]] = []
+        self._queue: List[Tuple[float, int, int, Any, Any]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
         self.trace = trace
@@ -89,15 +98,33 @@ class Engine:
             self.trace.record(self._now, "engine", "schedule_past", (delay_s,))
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(self._queue, (self._now + delay_s, priority, seq, event))
+        heapq.heappush(self._queue,
+                       (self._now + delay_s, priority, seq, None, event))
 
-    def _enqueue_at(self, event: Event, priority: int, when_s: float) -> None:
-        """Insert a triggered event at an *absolute* time (no ``now`` +
-        ``delay`` round-trip, which costs a ulp the burst path can't
-        afford when reproducing legacy event times exactly)."""
+    def _call(
+        self, fn: Callable[[Any], None], arg: Any, delay_s: float = 0.0,
+        priority: int = PRIORITY_NORMAL,
+    ) -> None:
+        """Schedule the continuation ``fn(arg)`` after ``delay_s`` seconds.
+
+        The entry takes exactly the key an :class:`Event` enqueued here
+        would take (same ``now + delay_s`` float, same priority, the next
+        sequence number), so swapping an internal event for a continuation
+        changes neither the dispatch order nor the event count.  Use it
+        only for steps no process waits on: nothing can yield, cancel or
+        inspect a continuation.
+        """
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(self._queue, (when_s, priority, seq, event))
+        heapq.heappush(self._queue, (self._now + delay_s, priority, seq, fn, arg))
+
+    def _call_at(self, fn: Callable[[Any], None], arg: Any, when_s: float) -> None:
+        """Schedule ``fn(arg)`` at an *absolute* time (no ``now`` + ``delay``
+        round-trip, which costs a ulp the burst path can't afford when
+        reproducing legacy event times exactly)."""
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (when_s, PRIORITY_NORMAL, seq, fn, arg))
 
     def schedule_callback(
         self, delay_s: float, fn: Callable[[], None], priority: int = PRIORITY_NORMAL
@@ -142,13 +169,18 @@ class Engine:
             If no events remain.
         """
         try:
-            when, _prio, _seq, event = heapq.heappop(self._queue)
+            when, _prio, _seq, fn, event = heapq.heappop(self._queue)
         except IndexError:
             raise EmptySchedule("no scheduled events remain") from None
         if when < self._now:  # pragma: no cover - defensive
             raise SimulationError("event scheduled in the past")
         self._now = when
         self.events_processed += 1
+        if fn is not None:
+            if self.trace is not None:
+                self.trace.record_kernel(when, fn)
+            fn(event)
+            return
         callbacks, event.callbacks = event.callbacks, None
         event._processed = True
         if self.trace is not None:
@@ -202,9 +234,14 @@ class Engine:
                             "simulation ran out of events before the awaited "
                             "event fired (deadlock?)"
                         )
-                    when, _prio, _seq, event = pop(queue)
+                    when, _prio, _seq, fn, event = pop(queue)
                     self._now = when
                     n_done += 1
+                    if fn is not None:
+                        if trace is not None:
+                            trace.record_kernel(when, fn)
+                        fn(event)
+                        continue
                     callbacks, event.callbacks = event.callbacks, None
                     event._processed = True
                     if trace is not None:
@@ -218,9 +255,14 @@ class Engine:
                     return stop_event._value
                 raise stop_event._value
             while queue and queue[0][0] <= stop_at:
-                when, _prio, _seq, event = pop(queue)
+                when, _prio, _seq, fn, event = pop(queue)
                 self._now = when
                 n_done += 1
+                if fn is not None:
+                    if trace is not None:
+                        trace.record_kernel(when, fn)
+                    fn(event)
+                    continue
                 callbacks, event.callbacks = event.callbacks, None
                 event._processed = True
                 if trace is not None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional, Tuple
 
 from .errors import SimulationError
 from .events import Event
@@ -227,8 +227,8 @@ class Pipe:
 
     Models a wire, a DMA engine, or a bus: transfers queue FIFO; each
     occupies the stage for ``setup_s + nbytes / bandwidth_Bps`` seconds,
-    after which ``deliver(payload)`` is invoked (and the completion event
-    fires).
+    after which the completion event fires (:meth:`transfer`) or the
+    caller's continuation runs (:meth:`transfer_then`).
 
     Parameters
     ----------
@@ -271,13 +271,12 @@ class Pipe:
         """Stage occupancy for an item of ``nbytes``."""
         return self.setup_s + nbytes / self.bandwidth_Bps
 
-    def transfer(self, nbytes: int, payload: Any = None) -> Event:
-        """Enqueue a transfer; returns an event firing at *delivery* time
-        with ``payload`` as its value."""
+    def _reserve(self, nbytes: int) -> float:
+        """Queue ``nbytes`` on the stage; return the delay from now until
+        delivery."""
         if nbytes < 0:
             raise ValueError("negative transfer size")
-        engine = self.engine
-        now = engine._now
+        now = self.engine._now
         d = self.domain
         if d is not None and d.streams:
             # Pending lazy reservations land before this one (FIFO) — except
@@ -294,34 +293,46 @@ class Pipe:
         self._busy_until = done
         self.total_bytes += nbytes
         self.total_items += 1
-        ev = Event(engine)
+        return (done + self.latency_s) - now
+
+    def transfer(self, nbytes: int, payload: Any = None) -> Event:
+        """Enqueue a transfer; returns an event firing at *delivery* time
+        with ``payload`` as its value."""
+        delay_s = self._reserve(nbytes)
+        ev = Event(self.engine)
         ev._ok = True
         ev._value = payload
-        engine._enqueue(ev, 1, delay_s=(done + self.latency_s) - now)
+        self.engine._enqueue(ev, 1, delay_s)
         return ev
 
-    def transfer_at(self, res_time_s: float, nbytes: int, payload: Any = None) -> Event:
-        """Like :meth:`transfer`, but reserving the stage at ``res_time_s``
-        (a future instant the caller has computed analytically).
+    def transfer_then(self, nbytes: int, fn: Callable[[Any], None],
+                      arg: Any = None) -> None:
+        """Like :meth:`transfer`, but call ``fn(arg)`` at delivery time
+        instead of firing an event — the same heap key, with no event for
+        callers that never wait on one."""
+        self.engine._call(fn, arg, self._reserve(nbytes))
+
+    def transfer_at_then(self, res_time_s: float, nbytes: int,
+                         fn: Callable[[Any], None], arg: Any = None) -> None:
+        """Like :meth:`transfer_then`, but reserving the stage at
+        ``res_time_s`` (a future instant the caller has computed
+        analytically).
 
         Only valid on an *exclusive* stage: between now and ``res_time_s``
         no other caller may reserve, so committing the slot early is
-        indistinguishable from calling :meth:`transfer` at ``res_time_s``.
+        indistinguishable from calling :meth:`transfer_then` at
+        ``res_time_s``.
         """
         start = max(res_time_s, self._busy_until)
         done = start + (self.setup_s + nbytes / self.bandwidth_Bps)
         self._busy_until = done
         self.total_bytes += nbytes
         self.total_items += 1
-        ev = Event(self.engine)
-        ev._ok = True
-        ev._value = payload
-        # Reproduce transfer()'s fire-time float arithmetic as if called at
+        # Reproduce the delivery time's float arithmetic as if called at
         # res_time_s — the now + (x - now) round-trip is part of the bit
         # pattern the legacy path produces.
         when = res_time_s + ((done + self.latency_s) - res_time_s)
-        self.engine._enqueue_at(ev, 1, when)
-        return ev
+        self.engine._call_at(fn, arg, when)
 
     @property
     def busy_until(self) -> float:

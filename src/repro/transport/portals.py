@@ -44,8 +44,6 @@ from ..mpi.matching import Admission, PostedQueue, UnexpectedQueue
 from ..mpi.request import Request
 from ..os.driver import GoBackNRx, GoBackNTx, RxDecision
 from ..sim.engine import Engine
-from ..sim.events import Event
-from ..sim.resources import Store
 from .base import Device
 from .packets import (
     Envelope,
@@ -105,6 +103,9 @@ class _Assembly:
 class PortalsDevice(Device):
     """Per-rank kernel-Portals engine."""
 
+    #: The request whose packets the transmit pump is sending.
+    _tx_req: Request
+
     def __init__(self, engine: Engine, node: Node, rank: int, system: SystemConfig):
         super().__init__(engine, node, rank, system)
         self.params: PortalsParams = self._select_params(system)
@@ -114,15 +115,22 @@ class PortalsDevice(Device):
         self._send_seq: Dict[int, int] = {}
         self._asm: Dict[int, _Assembly] = {}
         self._pending_get: Dict[int, Tuple[Request, int]] = {}
-        self._txq = Store(engine, name=f"rank{rank}.txq")
         self._gbn_tx: Dict[int, GoBackNTx] = {}
         self._gbn_rx: Dict[int, GoBackNRx] = {}
-        self._tx_waiters: Dict[int, Deque[Event]] = {}
         self._rto_deadline: Dict[int, float] = {}
         self._rto_armed: Dict[int, bool] = {}
+        # Transmit pump state (see _tx_pump): queued messages, whether the
+        # pump is waiting for one, the packets it is sending and the packet
+        # index, and the destination whose full window it waits on.
+        self._txq: Deque[Tuple[Request, List[Packet]]] = deque()
+        self._tx_idle = False
+        self._tx_pkts: List[Packet] = []
+        self._tx_i = 0
+        self._slot_wait: Optional[int] = None
         node.nic.rx_handler = self.nic_rx
         node.transport = self
-        engine.spawn(self._tx_pump(), name=f"rank{rank}.txpump")
+        # The pump's start-up step: an urgent slot at construction time.
+        engine._call(self._tx_pump, None, 0.0, 0)
 
     @staticmethod
     def _select_params(system: SystemConfig):
@@ -164,7 +172,7 @@ class PortalsDevice(Device):
                 req.nbytes, self.system.machine.nic.mtu_bytes,
                 envelope=env, meta={"proto": "short"},
             )
-            self._txq.put((req, pkts))
+            self._tx_put(req, pkts)
         return req
 
     def irecv(self, ctx: CpuContext, req: Request):
@@ -210,31 +218,67 @@ class PortalsDevice(Device):
         return self.k_posted.remove(req)
 
     # ------------------------------------------------------------- transmit
-    def _tx_pump(self):
-        """Kernel transmit pump: window-limited, per-packet driver work.
+    # The kernel transmit pump: window-limited, per-packet driver work.
+    # Each packet is admitted into the destination's go-back-N window
+    # (waiting while it is full), pays ``tx_kernel_s`` of kernel work, is
+    # tagged with its sequence number and handed to the NIC; the
+    # retransmission timer covers it until the cumulative ack arrives.
+    # Every wait resumes through one zero-delay continuation, taken where
+    # the wait ends (message queued, window opened, kernel work done).
+    def _tx_pump(self, _arg=None) -> None:
+        """Take the next queued message, or go idle until one is put."""
+        if self._txq:
+            self.engine._call(self._tx_message, self._txq.popleft())
+        else:
+            self._tx_idle = True
 
-        Each packet is admitted into the destination's go-back-N window
-        (blocking while it is full), tagged with its sequence number, and
-        handed to the NIC; the retransmission timer covers it until the
-        cumulative ack arrives.
-        """
-        p = self.params
-        cpu = self.node.cpu
-        while True:
-            req, pkts = yield self._txq.get()
-            for pkt in pkts:
-                yield self._gbn_slot(pkt.dst)
-                yield cpu.kernel_work(p.tx_kernel_s, label="tx_kernel")
-                flow = self._tx_flow(pkt.dst)
-                pkt.meta["seq"] = flow.register(pkt)
-                on_done = None
-                if pkt.is_last:
-                    # Local completion: NIC has DMA'd the last fragment off
-                    # host memory; the kernel flags the request done with no
-                    # library involvement (application offload).
-                    on_done = (lambda r=req: self._tx_done(r))
-                self.node.nic.submit(SendJob([pkt], on_done=on_done))
-                self._arm_rto(pkt.dst)
+    def _tx_put(self, req: Request, pkts: List[Packet]) -> None:
+        if self._tx_idle:
+            self._tx_idle = False
+            self.engine._call(self._tx_message, (req, pkts))
+        else:
+            self._txq.append((req, pkts))
+
+    def _tx_message(self, item: Tuple[Request, List[Packet]]) -> None:
+        self._tx_req, self._tx_pkts = item
+        self._tx_i = 0
+        self._tx_next_packet()
+
+    def _tx_next_packet(self) -> None:
+        """Admit the next packet into its window, or finish the message."""
+        if self._tx_i == len(self._tx_pkts):
+            self._tx_pump()
+            return
+        dst = self._tx_pkts[self._tx_i].dst
+        if self._tx_flow(dst).can_send:
+            self.engine._call(self._tx_admitted, None)
+        else:
+            self._slot_wait = dst  # _on_ack resumes the pump
+
+    def _tx_admitted(self, _arg) -> None:
+        """The packet holds a window slot: run the driver's transmit work."""
+        self.node.cpu.kernel_work(self.params.tx_kernel_s,
+                                  fn=self._tx_kernel_done, label="tx_kernel",
+                                  want_event=False)
+
+    def _tx_kernel_done(self) -> None:
+        self.engine._call(self._tx_send, None)
+
+    def _tx_send(self, _arg) -> None:
+        """Sequence the admitted packet and hand it to the NIC."""
+        req = self._tx_req
+        pkt = self._tx_pkts[self._tx_i]
+        pkt.meta["seq"] = self._tx_flow(pkt.dst).register(pkt)
+        on_done = None
+        if pkt.is_last:
+            # Local completion: NIC has DMA'd the last fragment off host
+            # memory; the kernel flags the request done with no library
+            # involvement (application offload).
+            on_done = (lambda r=req: self._tx_done(r))
+        self.node.nic.submit(SendJob([pkt], on_done=on_done))
+        self._arm_rto(pkt.dst)
+        self._tx_i += 1
+        self._tx_next_packet()
 
     def _tx_done(self, req: Request) -> None:
         if not req.done:
@@ -258,15 +302,6 @@ class PortalsDevice(Device):
             self._gbn_rx[src_node] = flow
         return flow
 
-    def _gbn_slot(self, dest_node: int) -> Event:
-        """Event firing when the destination's window has room."""
-        ev = Event(self.engine)
-        if self._tx_flow(dest_node).can_send:
-            ev.succeed()
-        else:
-            self._tx_waiters.setdefault(dest_node, deque()).append(ev)
-        return ev
-
     def _on_ack(self, dest_node: int, cum: int) -> None:
         """Cumulative ack from ``dest_node``'s receiver (kernel context)."""
         flow = self._tx_flow(dest_node)
@@ -275,9 +310,9 @@ class PortalsDevice(Device):
             self._rto_deadline[dest_node] = (
                 self.engine.now + self.params.rto_s
             )
-            waiters = self._tx_waiters.get(dest_node)
-            while waiters and flow.can_send:
-                waiters.popleft().succeed()
+            if self._slot_wait == dest_node and flow.can_send:
+                self._slot_wait = None
+                self.engine._call(self._tx_admitted, None)
         if retransmit:
             self._retransmit(dest_node, retransmit)
 
@@ -297,9 +332,7 @@ class PortalsDevice(Device):
         if self._rto_armed.get(dest_node):
             return
         self._rto_armed[dest_node] = True
-        self.engine.schedule_callback(
-            self.params.rto_s, lambda: self._check_rto(dest_node)
-        )
+        self.engine._call(self._check_rto, dest_node, self.params.rto_s)
 
     def _check_rto(self, dest_node: int) -> None:
         self._rto_armed[dest_node] = False
@@ -314,9 +347,7 @@ class PortalsDevice(Device):
             # Progress moved the deadline_s: re-check exactly then.
             delay_s = deadline_s - self.engine.now
         self._rto_armed[dest_node] = True
-        self.engine.schedule_callback(
-            delay_s, lambda: self._check_rto(dest_node)
-        )
+        self.engine._call(self._check_rto, dest_node, delay_s)
 
     # ---------------------------------------------------------------- NIC rx
     def nic_rx(self, pkt: Packet) -> None:
@@ -399,7 +430,7 @@ class PortalsDevice(Device):
             req.nbytes, self.system.machine.nic.mtu_bytes,
             meta={"proto": "long", "long": True},
         )
-        self._txq.put((req, pkts))
+        self._tx_put(req, pkts)
 
     def _issue_get(self, rec_or_head) -> None:
         """Send a GET (wire kind CTS) asking the sender to stream the data."""

@@ -44,6 +44,23 @@ def pytest_collection_modifyitems(config, items):
 
     random.Random(int(seed)).shuffle(items)
 
+
+@pytest.fixture(autouse=True)
+def _isolated_ledger(tmp_path_factory, monkeypatch):
+    """Point the default run ledger at a per-test temporary directory.
+
+    Every ledger-writing entry point (the CLI's ``--ledger-dir`` default,
+    ``tools/bench_report.py``) reads
+    :data:`repro.obs.ledger.DEFAULT_LEDGER_DIR` when it runs, so tests
+    exercise the real write path without appending to the working tree's
+    ``results/ledger/ledger.jsonl`` (which ``comb history`` and
+    ``comb compare`` read).
+    """
+    from repro.obs import ledger
+
+    monkeypatch.setattr(ledger, "DEFAULT_LEDGER_DIR",
+                        tmp_path_factory.mktemp("ledger"))
+
 @pytest.fixture
 def gm():
     """The GM system preset."""

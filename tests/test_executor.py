@@ -97,6 +97,16 @@ class TestTaskKey:
     def test_code_salt_is_stable_in_process(self):
         assert code_salt() == code_salt()
 
+    def test_code_salt_covers_the_c_kernel(self):
+        # The C kernel replicates the DES kernel: an edit to it can change
+        # every point, so it must change every cache key too.
+        import repro
+        from repro.core.executor import salt_files
+
+        root = Path(repro.__file__).resolve().parent
+        assert root / "_simcore.c" in salt_files()
+        assert root / "sim" / "engine.py" in salt_files()
+
 
 # ----------------------------------------------------------------- pool parity
 class TestPoolParity:

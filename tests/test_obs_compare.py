@@ -45,8 +45,8 @@ def test_scalar_profile_metrics_shape():
             "counters": {"executor.simulate_wall_s": 4.0,
                          "executor.points_simulated": 32},
             "histograms": {
-                "executor.task_wall_s": {"count": 8, "sum": 2.0},
-                "not_time_like": {"count": 4, "sum": 1.0},
+                "executor.task_wall_s": {"count": 8, "total": 2.0},
+                "not_time_like": {"count": 4, "total": 1.0},
             },
         },
     })
@@ -56,6 +56,19 @@ def test_scalar_profile_metrics_shape():
     }
     # Work-volume counters are configuration echoes, never compared.
     assert "executor.points_simulated" not in prof
+
+
+def test_scalar_profile_reads_registry_histograms():
+    # The exact shape MetricsRegistry writes: a *_s histogram's mean must
+    # reach the profile, or comb compare silently never compares it.
+    from repro.obs.metrics import MetricsRegistry
+
+    reg = MetricsRegistry()
+    hist = reg.histogram("executor.task_wall_s")
+    for wall_s in (0.25, 0.5, 0.75):
+        hist.observe(wall_s)
+    prof = scalar_profile({"metrics": reg.to_dict()})
+    assert prof == {"executor.task_wall_s.mean": 0.5}
 
 
 def test_scalar_profile_garbage_tolerant():

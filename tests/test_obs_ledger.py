@@ -238,6 +238,36 @@ class TestCliLedgerWiring:
         assert len(runs) == 1 and runs[0]["cmd"] == "scenario"
 
 
+class TestWorkingTreeLedgerIsolation:
+    """The autouse ``_isolated_ledger`` fixture (tests/conftest.py) keeps
+    default-ledger runs out of the working tree."""
+
+    def test_default_ledger_run_leaves_working_tree_untouched(
+            self, tmp_path, capsys):
+        from pathlib import Path
+
+        from repro.obs import ledger as ledger_mod
+
+        tree_ledger = (Path(__file__).resolve().parents[1]
+                       / "results" / "ledger" / "ledger.jsonl")
+
+        def state():
+            if not tree_ledger.exists():
+                return None
+            st = tree_ledger.stat()
+            return st.st_size, st.st_mtime_ns
+
+        before = state()
+        # No --ledger-dir: the run writes wherever the default points.
+        assert main(["figures", "--ids", "fig13", "--out", str(tmp_path),
+                     "--no-plots", "--no-cache"]) == 0
+        capsys.readouterr()
+        assert state() == before
+        records, _ = read_records(
+            ledger_path(ledger_mod.DEFAULT_LEDGER_DIR))
+        assert [r["cmd"] for r in records if r["rec"] == "run"] == ["figures"]
+
+
 # -------------------------------------------------------- CLI: stream + top
 class TestCliStreamAndTop:
     def test_stream_lines_validate_and_top_attaches(self, tmp_path, capsys):

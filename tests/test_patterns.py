@@ -245,6 +245,21 @@ class TestCli:
         assert "[rd]" in out
         assert "all invariants held" in out
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--ranks", "128", "--topology", "fattree", "--arity", "16"],
+         "error: fat-tree arity 16 exceeds the switch's 8 ports"),
+        (["--ranks", "64", "--topology", "fattree"],
+         "error: 64 ranks exceed the fattree's 32-node capacity"),
+    ], ids=["arity", "capacity"])
+    def test_pattern_rejects_unbuildable_fattree(self, capsys, argv, message):
+        from repro.cli import main
+
+        rc = main(["pattern", "halo3d", *argv])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+
     def test_trace_pattern_with_attribution(self, tmp_path, capsys):
         from repro.cli import main
 
