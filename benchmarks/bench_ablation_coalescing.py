@@ -6,8 +6,6 @@ Because the Portals pipeline is CPU-bound, the saved cycles surface as
 the protocol.
 """
 
-from conftest import BENCH_PER_DECADE  # noqa: F401  (shared sys.path hook)
-
 from repro.config import portals_system
 from repro.core import PollingConfig, run_polling
 from repro.ext import coalesced_portals

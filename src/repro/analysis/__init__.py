@@ -4,9 +4,17 @@ from .ascii_plot import render
 from .claims import ALL_CLAIMS, ClaimResult
 from .export import export_figures, write_csv, write_json
 from .svg_plot import render_svg, write_svg
-from .figures import ALL_FIGURES, Curve, FigureData
 from .knees import Knee, find_knee_iters, format_knees, knee_table, measure_knee
-from .registry import CurveSpec, FIGURE_SPECS, FigureSpec, build_figure
+from .registry import (
+    FIGURE_SPECS,
+    PAPER_FIGURES,
+    Curve,
+    CurveSpec,
+    FigureData,
+    FigureSpec,
+    build_figure,
+    figure_spec,
+)
 from .report import FigureReport, format_report, run_all, run_figure
 from .tables import (
     HEADERS,
@@ -18,7 +26,6 @@ from .tables import (
 
 __all__ = [
     "ALL_CLAIMS",
-    "ALL_FIGURES",
     "ClaimResult",
     "Curve",
     "CurveSpec",
@@ -26,7 +33,9 @@ __all__ = [
     "FigureData",
     "FigureReport",
     "FigureSpec",
+    "PAPER_FIGURES",
     "build_figure",
+    "figure_spec",
     "HEADERS",
     "Knee",
     "SystemSummary",

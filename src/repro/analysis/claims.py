@@ -13,7 +13,7 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from .figures import FigureData
+from .registry import FigureData
 
 
 @dataclass
@@ -230,11 +230,53 @@ def check_fig17(fig: FigureData) -> List[ClaimResult]:
     )]
 
 
-#: Claim checkers keyed by figure id.
+def _check_scaling(fig: FigureData) -> List[ClaimResult]:
+    """Shared shape checks for the pattern scaling figures.
+
+    * every availability is a valid fraction in (0, 1];
+    * adding neighbours costs availability: every curve ends below its
+      two-rank starting point;
+    * at the largest rank count the OS-bypass transport (GM) retains
+      more availability than the interrupt-driven one (Portals) — each
+      extra neighbour's packets interrupt the host CPU (the fig 12
+      message-handling tax), so the per-neighbour cost compounds for
+      Portals while GM only pays its (rank-independent) Progress Rule
+      wait.
+    """
+    out: List[ClaimResult] = []
+    for c in fig.curves:
+        ok = all(0.0 < y <= 1.0 for y in c.y)
+        out.append(ClaimResult(
+            fig.fig_id,
+            f"{c.label}: availability stays a valid fraction",
+            ok, f"min={min(c.y):.3f}, max={max(c.y):.3f}",
+        ))
+        out.append(ClaimResult(
+            fig.fig_id,
+            f"{c.label}: neighbours cost availability "
+            f"({int(c.x[-1])} ranks below 2 ranks)",
+            c.y[-1] < c.y[0],
+            f"2 ranks={c.y[0]:.3f}, {int(c.x[-1])} ranks={c.y[-1]:.3f}",
+        ))
+    for topology in ("crossbar", "fattree"):
+        gm = fig.curve(f"GM ({topology})")
+        portals = fig.curve(f"Portals ({topology})")
+        out.append(ClaimResult(
+            fig.fig_id,
+            f"{topology}: interrupt-driven progress pays the compounding "
+            f"per-neighbour tax (GM > Portals at {int(gm.x[-1])} ranks)",
+            gm.y[-1] > portals.y[-1],
+            f"GM={gm.y[-1]:.3f}, Portals={portals.y[-1]:.3f}",
+        ))
+    return out
+
+
+#: Claim checkers keyed by claims id (a spec's ``claims_id or fig_id``).
 ALL_CLAIMS: Dict[str, Callable[[FigureData], List[ClaimResult]]] = {
     "fig04": check_fig04, "fig05": check_fig05, "fig06": check_fig06,
     "fig07": check_fig07, "fig08": check_fig08, "fig09": check_fig09,
     "fig10": check_fig10, "fig11": check_fig11, "fig12": check_fig12,
     "fig13": check_fig13, "fig14": check_fig14, "fig15": check_fig15,
     "fig16": check_fig16, "fig17": check_fig17,
+    "scale_halo": _check_scaling, "scale_allreduce": _check_scaling,
 }

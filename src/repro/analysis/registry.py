@@ -1,15 +1,14 @@
 """Declarative figure registry: every figure is a table entry.
 
-The 17 bespoke ``figNN`` generator functions collapsed into data: a
-:class:`FigureSpec` names the axes, titles, and notes, and a tuple of
+A :class:`FigureSpec` names the axes, titles, and notes, and a tuple of
 :class:`CurveSpec` rows names each plotted line (method, system, sweep
 bounds, y attribute, unit).  :func:`build_figure` interprets a spec
 against runtime knobs (``per_decade``, ``sizes``, ``msg_bytes``,
-``grid``, ``rank_counts``) — the legacy functions in
-:mod:`repro.analysis.figures` and :mod:`repro.analysis.scaling` are thin
-wrappers over their table entries, so paper figures, scaling figures,
-and CI-band variants (``fig04_ci``, ``fig11_ci``) all live in one
-:data:`FIGURE_SPECS` table.
+``grid``, ``rank_counts``).  Paper figures, scaling figures, and CI-band
+variants (``fig04_ci``, ``fig11_ci``) all live in the one
+:data:`FIGURE_SPECS` table, and :func:`figure_spec` is the one id lookup
+behind ``comb figures``, ``comb bench`` and ``comb trace``;
+:data:`PAPER_FIGURES` names the default report grid.
 
 Replication flows through transparently: when the executing
 :class:`~repro.core.executor.SweepExecutor` replicates points
@@ -506,3 +505,20 @@ FIGURE_SPECS["fig11_ci"] = dataclasses.replace(
     FIGURE_SPECS["fig11"], fig_id="fig11_ci", claims_id="fig11",
     reps=5, ci_width=0.02,
 )
+
+#: The paper's results figures (Figs 4–17): the default grid of
+#: ``comb figures``, ``comb report`` and ``comb bench``.  Scaling figures
+#: and CI-band variants run only when named.
+PAPER_FIGURES = (
+    "fig04", "fig05", "fig06", "fig07", "fig08", "fig09", "fig10",
+    "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
+)
+
+
+def figure_spec(fig_id: str) -> FigureSpec:
+    """The registry entry for ``fig_id``; ``KeyError`` names every known id."""
+    try:
+        return FIGURE_SPECS[fig_id]
+    except KeyError:
+        raise KeyError(f"unknown figure {fig_id!r}; "
+                       f"have {sorted(FIGURE_SPECS)}") from None

@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from ..core.executor import SweepExecutor, use_executor
 from .ascii_plot import render
 from .claims import ALL_CLAIMS, ClaimResult
-from .figures import ALL_FIGURES, FigureData
-from .registry import FIGURE_SPECS, build_figure
-from .scaling import SCALING_CLAIMS, SCALING_FIGURES
+from .registry import PAPER_FIGURES, FigureData, build_figure, figure_spec
 
 
 @dataclass
@@ -29,22 +27,17 @@ class FigureReport:
         return all(c.ok for c in self.claims)
 
 
-def run_figure(fig_id: str, per_decade: int = 2,
-               executor: Optional[SweepExecutor] = None,
-               **kwargs) -> FigureReport:
-    """Regenerate one figure and check its claims.
+def run_figure(fig_id: str, executor: Optional[SweepExecutor] = None,
+               **knobs: Any) -> FigureReport:
+    """Regenerate one registry figure and check its claims.
 
+    ``knobs`` go to :func:`~repro.analysis.registry.build_figure`
+    (``per_decade``, ``sizes``, ``msg_bytes``, ``grid``, …).
     ``executor`` parallelizes/caches the figure's sweeps (see
     :class:`~repro.core.executor.SweepExecutor`); ``None`` keeps the
     serial reference path.
     """
-    generator = ALL_FIGURES.get(fig_id) or SCALING_FIGURES.get(fig_id)
-    if generator is None and fig_id not in FIGURE_SPECS:
-        known = sorted(ALL_FIGURES) + sorted(SCALING_FIGURES) + sorted(
-            f for f in FIGURE_SPECS
-            if f not in ALL_FIGURES and f not in SCALING_FIGURES
-        )
-        raise KeyError(f"unknown figure {fig_id!r}; have {known}")
+    spec = figure_spec(fig_id)
     telemetry = executor.telemetry if executor is not None else None
     timed = telemetry is not None or (
         executor is not None and executor.point_log
@@ -53,37 +46,27 @@ def run_figure(fig_id: str, per_decade: int = 2,
         telemetry.emit("figure_start", figure=fig_id)
     t0_wall = time.perf_counter() if timed else 0.0
     with use_executor(executor):
-        if generator is None:
-            # Registry-only entry (e.g. a CI-band variant): interpret
-            # the spec directly.
-            fig = build_figure(FIGURE_SPECS[fig_id], per_decade=per_decade,
-                               **kwargs)
-        elif fig_id in ("fig12", "fig13"):
-            fig = generator(**kwargs)  # linear grids take no per_decade
-        else:
-            fig = generator(per_decade=per_decade, **kwargs)
+        fig = build_figure(spec, **knobs)
     wall_s = time.perf_counter() - t0_wall if timed else 0.0
     if telemetry is not None:
         telemetry.emit("figure_end", figure=fig_id, wall_s=wall_s)
-    claims_id = fig_id
-    spec = FIGURE_SPECS.get(fig_id)
-    if spec is not None and spec.claims_id:
-        claims_id = spec.claims_id  # CI variants inherit base claims
-    checker = ALL_CLAIMS.get(claims_id) or SCALING_CLAIMS.get(claims_id)
-    claims = checker(fig) if checker is not None else []
+    claims = ALL_CLAIMS[spec.claims_id or fig_id](fig)
     return FigureReport(fig, claims, wall_s=wall_s)
 
 
 def run_all(per_decade: int = 2,
             fig_ids: Optional[Sequence[str]] = None,
             executor: Optional[SweepExecutor] = None) -> List[FigureReport]:
-    """Regenerate every requested figure (default: all of Figs 4–17).
+    """Regenerate every requested figure (default: :data:`PAPER_FIGURES`).
 
-    A shared ``executor`` makes overlapping figures nearly free: points
-    already simulated for an earlier figure come back from its memo/cache.
+    Every id is looked up before the first figure runs.  A shared
+    ``executor`` makes overlapping figures nearly free: points already
+    simulated for an earlier figure come back from its memo/cache.
     """
-    ids = list(fig_ids) if fig_ids else sorted(ALL_FIGURES)
-    return [run_figure(fid, per_decade=per_decade, executor=executor)
+    ids = list(fig_ids) if fig_ids else list(PAPER_FIGURES)
+    for fid in ids:
+        figure_spec(fid)
+    return [run_figure(fid, executor=executor, per_decade=per_decade)
             for fid in ids]
 
 

@@ -13,7 +13,7 @@ import math
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
-from .figures import Curve, FigureData
+from .registry import Curve, FigureData
 
 #: Curve colour cycle (colour-blind-safe-ish hexes).
 COLORS = ["#0072b2", "#d55e00", "#009e73", "#cc79a7",

@@ -88,9 +88,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
-from .analysis import export_figures, format_report, render, run_all, run_figure
+from .analysis import (
+    FIGURE_SPECS,
+    export_figures,
+    figure_spec,
+    format_report,
+    render,
+    run_all,
+    run_figure,
+)
 from .baselines import run_netperf
 from .config import PRESETS, get_system
 from .core import (
@@ -356,6 +364,18 @@ def _report_disagreements(disagreements) -> int:
     return 1
 
 
+def _unknown_figure(fig_ids: Iterable[str]) -> bool:
+    """Print ``error: unknown figure …`` for the first id the registry
+    lacks; ``True`` when one was found."""
+    for fig_id in fig_ids:
+        try:
+            figure_spec(fig_id)
+        except KeyError as exc:
+            print(f"error: {exc.args[0]}", file=sys.stderr)
+            return True
+    return False
+
+
 def _add_system(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--system", default="GM", choices=sorted(PRESETS),
@@ -547,8 +567,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "attached; export Chrome trace JSON + CSV timeline + metrics",
     )
     p.add_argument("target",
-                   help="figure id (fig04..fig17), 'polling', 'pww', or a "
-                   "pattern kind (halo/halo2d/halo3d/sweep/allreduce)")
+                   help="registry figure id (fig04..fig17, scale_halo, …), "
+                   "'polling', 'pww', or a pattern kind "
+                   "(halo/halo2d/halo3d/sweep/allreduce)")
     _add_system(p)
     p.add_argument("--size", type=float, default=100,
                    help="message size (KB; point targets)")
@@ -670,7 +691,6 @@ def _run_trace(args: argparse.Namespace) -> int:
     """``comb trace``: one observed run, three export files."""
     from pathlib import Path
 
-    from .analysis.figures import ALL_FIGURES
     from .obs import (
         Observer,
         use_observer,
@@ -723,22 +743,20 @@ def _run_trace(args: argparse.Namespace) -> int:
             run_pattern(system, cfg)
             observer.tracer.record(0.0, "executor", "point_end", ("pattern",))
         label = f"comb {target} {system.name} x{cfg.ranks}"
-    elif target in ALL_FIGURES:
+    elif target in FIGURE_SPECS:
         # Forced serial + uncached: cached points never simulate (no
         # events) and pooled points simulate in other processes (events
         # stranded there) — tracing wants the complete timeline.
-        from .analysis import run_figure as _run_figure
-
         with SweepExecutor(jobs=1, cache=None,
                            metrics=observer.metrics) as executor:
             with use_observer(observer):
-                _run_figure(target, per_decade=args.per_decade,
-                            executor=executor)
+                run_figure(target, executor=executor,
+                           per_decade=args.per_decade)
             executor_stats = executor.stats
         label = f"comb {target}"
     else:
         print(f"error: unknown trace target {target!r}; expected a figure "
-              f"id ({'/'.join(sorted(ALL_FIGURES))}), 'polling', 'pww', or "
+              f"id ({'/'.join(sorted(FIGURE_SPECS))}), 'polling', 'pww', or "
               f"a pattern ({'/'.join(sorted(_PATTERN_ALIASES))})",
               file=sys.stderr)
         return 2
@@ -804,6 +822,9 @@ def _run_bench(args: argparse.Namespace) -> int:
 
     from .core.bench import DEFAULT_OUT_DIR, run_bench, write_record
 
+    profiled = [args.profile] if args.profile is not None else []
+    if _unknown_figure([*(args.ids or ()), *profiled]):
+        return 2
     cache = None if args.no_cache else PointCache(args.cache_dir)
     ledger = None
     if not args.no_ledger:
@@ -820,9 +841,6 @@ def _run_bench(args: argparse.Namespace) -> int:
         record = run_bench(ids=args.ids, per_decade=args.per_decade,
                            jobs=args.jobs, cache=cache,
                            profile=args.profile, echo=print, ledger=ledger)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     finally:
         if ledger is not None:
             ledger.close()
@@ -1081,6 +1099,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "figures":
         from .obs.context import use_observer
 
+        if _unknown_figure(args.ids or ()):
+            return 2
         observer = _maybe_observer(args)
         live = _LiveSweep(args, "figures")
         if live.error:

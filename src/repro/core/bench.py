@@ -1,5 +1,4 @@
-"""Benchmark-trajectory recording shared by ``comb bench`` and
-``tools/bench_report.py``.
+"""Benchmark-trajectory recording behind ``comb bench``.
 
 One *record* is one timed pass over the coarse benchmark grid (the paper
 figures at 1 point/decade by default).  Records append to a trajectory
@@ -89,26 +88,20 @@ def run_bench(
 ) -> Dict[str, Any]:
     """Time one pass over the benchmark grid; return the record dict.
 
-    ``ids`` defaults to every figure; ``profile`` names a figure id to
-    additionally cProfile (top rows embedded under ``"profile"``).
+    ``ids`` defaults to the paper figures; ``profile`` names a figure id
+    to additionally cProfile (top rows embedded under ``"profile"``).
+    Every id, the profiled one included, is looked up in the figure
+    registry before the timed pass (``KeyError`` on an unknown one).
     ``echo`` receives one progress line per figure.  ``ledger`` is an
     open :class:`~repro.obs.ledger.RunLedger`: every point outcome and
     the closing run summary are appended to it (timing is unchanged —
     point logging costs two timestamps per simulated point).
     """
-    from ..analysis import run_figure
-    from ..analysis.figures import ALL_FIGURES
-    from ..analysis.scaling import SCALING_FIGURES
+    from ..analysis import PAPER_FIGURES, figure_spec, run_figure
 
-    # Paper figures by default; scaling figures (availability vs ranks)
-    # are opt-in by id, same as in `comb figures --ids`.
-    fig_ids = list(ids) if ids else sorted(ALL_FIGURES)
-    known = sorted(ALL_FIGURES) + sorted(SCALING_FIGURES)
-    unknown = [i for i in fig_ids if i not in known]
-    if unknown:
-        raise ValueError(
-            f"unknown figure ids: {unknown}; have {known}"
-        )
+    fig_ids = list(ids) if ids else list(PAPER_FIGURES)
+    for fig_id in fig_ids + ([profile] if profile is not None else []):
+        figure_spec(fig_id)
     registry = MetricsRegistry()
     per_figure: Dict[str, float] = {}
     claims_ok = True

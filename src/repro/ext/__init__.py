@@ -1,7 +1,6 @@
 """Extensions beyond the paper: SMP nodes (§7) and what-if systems."""
 
 from .emp import EmpDevice, emp_system
-from .multirank import FanInPoint, run_fanin_polling
 from .smp import SmpAvailability, run_smp_polling, smp_system
 from .whatif import (
     OffloadNicDevice,
@@ -12,14 +11,12 @@ from .whatif import (
 
 __all__ = [
     "EmpDevice",
-    "FanInPoint",
     "OffloadNicDevice",
     "SmpAvailability",
     "build_custom_world",
     "coalesced_portals",
     "emp_system",
     "offload_nic_system",
-    "run_fanin_polling",
     "run_smp_polling",
     "smp_system",
 ]

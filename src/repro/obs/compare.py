@@ -7,7 +7,7 @@ interval on the median difference — and only calls something a
 regression when the whole interval clears a minimum relative slowdown.
 
 Inputs are the JSON documents the suite already writes: ``BENCH_<n>.json``
-trajectory records (``tools/bench_report.py``) and ``metrics.json``
+trajectory records (``comb bench``) and ``metrics.json``
 sidecars (``comb … --metrics``).  A *run* argument may be a single file
 or a directory of them (every ``BENCH_*.json`` / ``*metrics*.json``
 inside becomes one sample).

@@ -11,9 +11,8 @@ For kernel transports the answer compounds badly — every peer's packets
 interrupt the same worker CPU — while OS-bypass stacks only saturate the
 worker's host bus.
 
-Formerly :mod:`repro.ext.multirank` (now a deprecation shim over this
-module); the port adds an explicit :class:`~repro.hardware.topology.
-Topology` seam so fan-in runs on the fat-tree too.
+The world is built through the :class:`~repro.hardware.topology.
+Topology` seam, so fan-in runs on the fat-tree too.
 """
 
 from __future__ import annotations

@@ -50,7 +50,7 @@ def _isolated_ledger(tmp_path_factory, monkeypatch):
     """Point the default run ledger at a per-test temporary directory.
 
     Every ledger-writing entry point (the CLI's ``--ledger-dir`` default,
-    ``tools/bench_report.py``) reads
+    ``comb bench`` included) reads
     :data:`repro.obs.ledger.DEFAULT_LEDGER_DIR` when it runs, so tests
     exercise the real write path without appending to the working tree's
     ``results/ledger/ledger.jsonl`` (which ``comb history`` and

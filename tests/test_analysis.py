@@ -6,7 +6,8 @@ import pytest
 
 from repro.analysis import (
     ALL_CLAIMS,
-    ALL_FIGURES,
+    FIGURE_SPECS,
+    PAPER_FIGURES,
     Curve,
     FigureData,
     export_figures,
@@ -51,8 +52,9 @@ class TestFigureData:
 
     def test_registry_complete(self):
         expected = {f"fig{i:02d}" for i in range(4, 18)}
-        assert set(ALL_FIGURES) == expected
-        assert set(ALL_CLAIMS) == expected
+        assert set(PAPER_FIGURES) == expected
+        for fig_id, spec in FIGURE_SPECS.items():
+            assert (spec.claims_id or fig_id) in ALL_CLAIMS, fig_id
 
 
 class TestClaimCheckers:

@@ -1,6 +1,7 @@
 """Tests: the ``comb`` command-line interface."""
 
 import json
+from collections import defaultdict
 
 import pytest
 
@@ -122,6 +123,89 @@ class TestTraceCommand:
         err_or_out = capsys.readouterr()
         assert rc == 2
         assert "unknown trace target" in err_or_out.out + err_or_out.err
+
+
+def _stub_figures(monkeypatch):
+    """Make every registry figure instant: an empty figure, no claims.
+
+    Every command reaches figures through ``report.run_figure``, so the
+    stub proves which ids each command resolves without simulating.
+    """
+    from repro.analysis import FigureData, report
+
+    built = []
+
+    def build(spec, **knobs):
+        built.append(spec.fig_id)
+        return FigureData(spec.fig_id, spec.title, spec.xlabel,
+                          spec.ylabel, [])
+
+    monkeypatch.setattr(report, "build_figure", build)
+    monkeypatch.setattr(report, "ALL_CLAIMS",
+                        defaultdict(lambda: lambda fig: []))
+    return built
+
+
+def _one_line_error(err: str) -> str:
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "Traceback" not in err, err
+    return lines[0]
+
+
+class TestFigureIds:
+    """One registry lookup: every command takes exactly ``FIGURE_SPECS``."""
+
+    @pytest.mark.parametrize("command", ["figures", "bench", "trace"])
+    def test_every_registry_id_accepted(self, command, capsys, tmp_path,
+                                        monkeypatch):
+        from repro.analysis import FIGURE_SPECS
+
+        built = _stub_figures(monkeypatch)
+        ids = sorted(FIGURE_SPECS)
+        if command == "trace":
+            for fig_id in ids:
+                assert main(["trace", fig_id, "--out", str(tmp_path)]) == 0
+        elif command == "bench":
+            assert main(["bench", "--ids", *ids, "--no-cache", "--no-ledger",
+                         "--out-dir", str(tmp_path)]) == 0
+        else:
+            assert main(["figures", "--ids", *ids, "--no-plots",
+                         "--no-cache", "--no-ledger"]) == 0
+        assert built == ids
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["figures", "--ids", "fig04", "fig99"],
+        ["bench", "--ids", "fig99"],
+        ["bench", "--ids", "fig13", "--profile", "fig99"],
+        ["trace", "fig99"],
+    ], ids=["figures", "bench-ids", "bench-profile", "trace"])
+    def test_unknown_id_is_one_line_error(self, argv, capsys, tmp_path,
+                                          monkeypatch):
+        built = _stub_figures(monkeypatch)
+        out_dir = tmp_path / "bench"
+        extra = (["--out", str(tmp_path)] if argv[0] == "trace" else
+                 ["--out-dir", str(out_dir), "--no-ledger"]
+                 if argv[0] == "bench" else [])
+        assert main(argv + extra) == 2
+        line = _one_line_error(capsys.readouterr().err)
+        assert line.startswith("error: ") and "fig99" in line
+        if argv[0] != "trace":
+            assert line.startswith("error: unknown figure 'fig99'; have [")
+            assert "scale_halo" in line and "fig04_ci" in line
+        assert built == []  # rejected before any figure ran
+        assert not out_dir.exists()  # and before any record was written
+
+    def test_run_all_checks_every_id_first(self, monkeypatch):
+        from repro.analysis import run_all
+
+        built = _stub_figures(monkeypatch)
+        with pytest.raises(KeyError, match="unknown figure 'fig99'"):
+            run_all(fig_ids=["fig04", "fig99"])
+        assert built == []
+        reports = run_all(per_decade=1)
+        assert [r.figure.fig_id for r in reports] == \
+            [f"fig{n:02d}" for n in range(4, 18)]
 
 
 class TestParsing:

@@ -44,10 +44,16 @@ class TestReadme:
 
 class TestDesign:
     def test_every_figure_has_bench_target(self):
-        text = _read("DESIGN.md")
-        for match in re.finditer(r"`(bench_fig\d+\w*\.py)`", text):
-            assert (ROOT / "benchmarks" / match.group(1)).exists(), \
-                match.group(0)
+        """Every "Fig N" row of the figure index names its registry id
+        (the id ``comb bench --ids`` and ``bench_figures.py`` run)."""
+        from repro.analysis import FIGURE_SPECS
+
+        rows = re.findall(r"^\| Fig (\d+) \|.*\| `(\w+)` \|$",
+                          _read("DESIGN.md"), re.M)
+        assert len(rows) == 14
+        for number, fig_id in rows:
+            assert fig_id in FIGURE_SPECS, fig_id
+            assert fig_id == f"fig{int(number):02d}"
 
     def test_inventory_packages_exist(self):
         text = _read("DESIGN.md")
@@ -91,10 +97,19 @@ class TestExperiments:
 
 class TestBenchCoverage:
     def test_one_bench_per_results_figure(self):
-        benches = {p.name for p in (ROOT / "benchmarks").glob("bench_fig*.py")}
-        for i in range(4, 18):
-            assert any(b.startswith(f"bench_fig{i:02d}_") for b in benches), \
-                f"no bench target for figure {i}"
+        """``bench_figures.py`` runs one case per paper figure."""
+        import importlib.util
+
+        from repro.analysis import PAPER_FIGURES
+
+        path = ROOT / "benchmarks" / "bench_figures.py"
+        spec = importlib.util.spec_from_file_location("bench_figures", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        (mark,) = [m for m in module.test_figure.pytestmark
+                   if m.name == "parametrize"]
+        assert mark.args == ("fig_id", PAPER_FIGURES)
+        assert set(PAPER_FIGURES) == {f"fig{i:02d}" for i in range(4, 18)}
 
     def test_every_ablation_in_design_exists(self):
         ablations = {p.name

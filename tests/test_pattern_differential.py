@@ -9,7 +9,6 @@ golden values from the original two-node implementation.
 from __future__ import annotations
 
 import json
-import warnings
 from pathlib import Path
 
 import pytest
@@ -49,38 +48,11 @@ class TestPingpongDifferential:
 
 
 class TestFanInDifferential:
-    @pytest.mark.parametrize("preset", ["GM", "Portals"])
-    def test_shim_is_bit_identical_to_patterns_fanin(self, preset):
-        from repro.config import get_system
-
-        system = get_system(preset)
-        ported = run_fanin_polling(system, FANIN_CFG, n_peers=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.ext.multirank import run_fanin_polling as legacy
-
-            shimmed = legacy(system, FANIN_CFG, n_peers=3)
-        assert shimmed == ported
-
-    def test_shim_warns_deprecation(self, gm):
-        from repro.ext.multirank import run_fanin_polling as legacy
-
-        with pytest.warns(DeprecationWarning, match="repro.patterns.fanin"):
-            legacy(gm, FANIN_CFG, n_peers=2)
-
     def test_explicit_crossbar_matches_default(self, gm):
         default = run_fanin_polling(gm, FANIN_CFG, n_peers=3)
         explicit = run_fanin_polling(gm, FANIN_CFG, n_peers=3,
                                      topology=Crossbar())
         assert explicit == default
-
-    def test_shim_reexports_point_type(self):
-        import repro.patterns.fanin as fanin
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            import repro.ext.multirank as legacy
-        assert legacy.FanInPoint is fanin.FanInPoint
 
 
 class TestTwoRankPatternDifferential:

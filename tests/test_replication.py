@@ -184,16 +184,15 @@ def test_stochastic_replication_reproducible():
 
 # ---------------------------------------------------------------- registry
 def test_ci_variants_registered():
-    from repro.analysis import FIGURE_SPECS
-    from repro.analysis.figures import ALL_FIGURES
+    from repro.analysis import FIGURE_SPECS, PAPER_FIGURES
 
     for fig_id, base in (("fig04_ci", "fig04"), ("fig11_ci", "fig11")):
         spec = FIGURE_SPECS[fig_id]
         assert spec.reps == 5
         assert spec.ci_width == 0.02
         assert spec.claims_id == base
-        # Registry-only: the paper-figure table itself is unchanged.
-        assert fig_id not in ALL_FIGURES
+        # Opt-in by id: the default paper grid is unchanged.
+        assert fig_id not in PAPER_FIGURES
 
 
 def test_ci_variant_renders_bands_and_inherits_claims(tmp_path):
