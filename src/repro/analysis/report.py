@@ -61,13 +61,22 @@ def run_all(per_decade: int = 2,
 
     Every id is looked up before the first figure runs.  A shared
     ``executor`` makes overlapping figures nearly free: points already
-    simulated for an earlier figure come back from its memo/cache.
+    simulated for an earlier figure come back from its memo/cache.  Its
+    :attr:`~repro.core.executor.SweepExecutor.point_records` are stamped
+    with the ``figure`` that requested them (the run ledger's feed).
     """
     ids = list(fig_ids) if fig_ids else list(PAPER_FIGURES)
     for fid in ids:
         figure_spec(fid)
-    return [run_figure(fid, executor=executor, per_decade=per_decade)
-            for fid in ids]
+    reports: List[FigureReport] = []
+    for fid in ids:
+        start = len(executor.point_records) if executor is not None else 0
+        reports.append(run_figure(fid, executor=executor,
+                                  per_decade=per_decade))
+        if executor is not None:
+            for point in executor.point_records[start:]:
+                point["figure"] = fid
+    return reports
 
 
 def format_report(reports: Sequence[FigureReport], plots: bool = True) -> str:

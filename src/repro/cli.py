@@ -63,8 +63,9 @@ recorded evidence.
 two run paths (``metrics.json`` / ``BENCH_*.json`` files or directories
 of them) it bootstraps confidence intervals over median differences and
 exits 1 on significant regressions; with one BENCH history directory it
-judges the newest record against all older ones, skipping cleanly while
-the history is too short (see :mod:`repro.obs.compare`).  ``--format
+judges the newest record against the older records of its stratum
+(compiled kernel, grid, jobs), skipping cleanly while that history is
+too short (see :mod:`repro.obs.compare`).  ``--format
 json`` emits the verdict machine-readably (per-metric CIs, the
 regression list, and the exit-status rationale).
 
@@ -76,18 +77,30 @@ another terminal mid-run.  Detached (neither flag), the executor takes
 the exact pre-telemetry code path — results are bit-identical either
 way (telemetry is observation-only wall-clock metadata).
 
-Every executor-driven run also appends point outcomes and a closing
-summary to the persistent run ledger (``results/ledger/ledger.jsonl``;
-``--no-ledger`` opts out, ``--ledger-dir`` relocates it).  ``comb
-history`` filters and aggregates that ledger (outcome counts, mean miss
-wall, per-figure wall trend), and ``comb compare`` accepts a ledger
-file as a run-history source.
+Every executor-driven run (``figures``, ``report``, ``bench``,
+``scenario``) also appends point outcomes, each tagged with its figure,
+and a closing run record to the persistent run ledger
+(``results/ledger/ledger.jsonl``; ``--no-ledger`` opts out,
+``--ledger-dir`` relocates it).  ``comb history`` filters and aggregates
+that ledger (outcome counts, mean miss wall, per-figure wall trend), and
+``comb compare`` accepts a ledger file as a run-history source.
+
+Each command builds its plumbing — ledger, telemetry hub and stream,
+``--metrics`` observer, ``--check`` sanitizer, sweep executor — through
+one :class:`_RunContext`, and every run record goes through
+:meth:`repro.obs.ledger.RunLedger.write_run`.  Bad input (an unknown
+figure id, a pattern the topology cannot hold, a malformed scenario
+file) is one ``error:`` line and exit status 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+import time
+import uuid
+from pathlib import Path
 from typing import Iterable, List, Optional
 
 from .analysis import (
@@ -110,7 +123,16 @@ from .core import (
     run_polling,
     run_pww,
 )
-from .core.executor import DEFAULT_CACHE_DIR
+from .obs import (
+    Observer,
+    ProgressRenderer,
+    RunLedger,
+    StreamWriter,
+    TelemetryChannel,
+    TelemetryHub,
+    use_observer,
+    write_metrics,
+)
 from .patterns import PATTERN_KINDS
 
 #: ``comb pattern`` / ``comb trace`` accept ``halo`` for halo2d.
@@ -133,10 +155,7 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
         "--no-cache", action="store_true",
         help="disable the on-disk point cache",
     )
-    parser.add_argument(
-        "--cache-dir", default=DEFAULT_CACHE_DIR,
-        help=f"point-cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
+    _add_cache_dir_flag(parser)
     parser.add_argument(
         "--metrics", action="store_true",
         help="attach the observability layer and write a metrics.json "
@@ -174,13 +193,28 @@ def _add_progress_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_ledger_flags(parser: argparse.ArgumentParser) -> None:
-    from .obs.ledger import DEFAULT_LEDGER_DIR
+def _add_cache_dir_flag(parser: argparse.ArgumentParser) -> None:
+    # Read when the parser is built, so a relocated default (the test
+    # suite's temporary directory) takes effect.
+    from .core.executor import DEFAULT_CACHE_DIR
 
+    parser.add_argument(
+        "--cache-dir", default=DEFAULT_CACHE_DIR,
+        help=f"point-cache directory (default: {DEFAULT_CACHE_DIR})",
+    )
+
+
+def _add_ledger_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-ledger", action="store_true",
         help="skip appending this run to the persistent run ledger",
     )
+    _add_ledger_dir_flag(parser)
+
+
+def _add_ledger_dir_flag(parser: argparse.ArgumentParser) -> None:
+    from .obs.ledger import DEFAULT_LEDGER_DIR
+
     parser.add_argument(
         "--ledger-dir", default=str(DEFAULT_LEDGER_DIR), metavar="DIR",
         help=f"run-ledger directory (default: {DEFAULT_LEDGER_DIR})",
@@ -195,173 +229,147 @@ def _add_check_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _make_executor(args: argparse.Namespace, metrics=None, telemetry=None,
-                   point_log: bool = False) -> SweepExecutor:
-    cache = None if args.no_cache else PointCache(args.cache_dir)
-    return SweepExecutor(jobs=args.jobs, cache=cache, check=args.check,
-                         metrics=metrics, reps=getattr(args, "reps", 1),
-                         ci_width=getattr(args, "ci_width", None),
-                         telemetry=telemetry, point_log=point_log)
+class _RunContext:
+    """One command's run plumbing, built once from its parsed flags.
 
-
-class _LiveSweep:
-    """Per-invocation live-telemetry + run-ledger plumbing.
-
-    Owns the telemetry channel, the hub with its consumers (NDJSON
-    stream writer for ``--progress-stream``, TTY renderer for
-    ``--progress``), and the run ledger (on by default; ``--no-ledger``
-    opts out).  Unwritable targets surface as a one-line message in
-    :attr:`error` — the PR 5 convention — never a traceback.
+    Owns the run ledger (opened when the command has ledger flags;
+    ``--no-ledger`` opts out), the live-telemetry hub with its consumers
+    (NDJSON stream writer for ``--progress-stream``, TTY renderer for
+    ``--progress``), the ``--metrics`` observer and the ``--check``
+    sanitizer; builds the command's :class:`SweepExecutor`; and
+    :meth:`finish` closes all of it, appending the run to the ledger.
+    An unwritable target prints one ``error:`` line and sets
+    :attr:`error` — never a traceback.
     """
 
     def __init__(self, args: argparse.Namespace, cmd: str) -> None:
-        import time as _time
-        import uuid
-        from pathlib import Path
-
+        self.args = args
         self.run_id = uuid.uuid4().hex[:12]
-        self.cmd = cmd
-        self.jobs = getattr(args, "jobs", 1)
         self.channel = None
         self.hub = None
         self.stream_writer = None
         self.ledger = None
+        self.observer = Observer() if getattr(args, "metrics", False) \
+            else None
+        self.sanitizer = None
         self.error: Optional[str] = None
-        self._t0_wall = _time.perf_counter()
+        self._t0_wall = time.perf_counter()
+        if getattr(args, "check", False):
+            from .verify import Sanitizer
+
+            self.sanitizer = Sanitizer()
         stream_target = getattr(args, "progress_stream", None)
-        want_live = bool(getattr(args, "progress", False) or stream_target)
-        if stream_target:
-            from .obs.live_consumers import StreamWriter
-
-            try:
+        try:
+            if stream_target:
+                target = f"progress stream {stream_target}"
                 self.stream_writer = StreamWriter(stream_target)
-            except OSError as exc:
-                self.error = (f"error: cannot open progress stream "
-                              f"{stream_target}: {exc}")
-                return
-        if not getattr(args, "no_ledger", False) \
-                and hasattr(args, "ledger_dir"):
-            from .obs.ledger import RunLedger
-
-            ledger_dir = Path(args.ledger_dir)
-            try:
-                self.ledger = RunLedger(ledger_dir, self.run_id, cmd)
-            except OSError as exc:
-                self.error = (f"error: cannot open run ledger under "
-                              f"{ledger_dir}: {exc}")
-                return
-        if want_live:
-            from .obs.live import TelemetryChannel
-            from .obs.live_consumers import ProgressRenderer, TelemetryHub
-
+            if not getattr(args, "no_ledger", True):
+                target = f"run ledger under {args.ledger_dir}"
+                self.ledger = RunLedger(Path(args.ledger_dir), self.run_id,
+                                        cmd)
+        except OSError as exc:
+            self.error = f"error: cannot open {target}: {exc}"
+            print(self.error, file=sys.stderr)
+            self.finish()
+            return
+        if getattr(args, "progress", False) or stream_target:
             self.channel = TelemetryChannel()
             consumers = []
             if self.stream_writer is not None:
                 consumers.append(self.stream_writer)
-            if getattr(args, "progress", False):
+            if args.progress:
                 consumers.append(ProgressRenderer())
             self.hub = TelemetryHub(self.channel, consumers)
-            self.hub.start(self.run_id, cmd, self.jobs)
+            self.hub.start(self.run_id, cmd, args.jobs)
 
-    @property
-    def point_log(self) -> bool:
-        return self.ledger is not None
+    def cache(self) -> Optional[PointCache]:
+        return None if self.args.no_cache else PointCache(self.args.cache_dir)
 
-    def finish(self, executor: SweepExecutor, reports=None,
-               claims_ok: Optional[bool] = None) -> None:
-        """Close the hub/stream and append this run to the ledger."""
-        import time as _time
-        from datetime import datetime, timezone
+    def executor(self) -> SweepExecutor:
+        args = self.args
+        return SweepExecutor(
+            jobs=args.jobs, cache=self.cache(), check=args.check,
+            metrics=self.observer.metrics if self.observer else None,
+            reps=args.reps, ci_width=args.ci_width,
+            telemetry=self.channel, point_log=self.ledger is not None,
+        )
 
+    def finish(self, executor: Optional[SweepExecutor] = None,
+               reports=()) -> int:
+        """Close the hub, stream and ledger — appending the run when
+        ``executor`` ran it — and write the ``--metrics`` sidecar.
+
+        Returns 0, or 1 when the sidecar cannot be written.
+        """
         if self.hub is not None:
             self.hub.close()
         if self.stream_writer is not None:
             self.stream_writer.close()
         if self.ledger is not None:
-            from . import compiled
-
-            for point in executor.point_records:
-                self.ledger.record_point(
-                    key=point["key"], kind=point["kind"],
-                    system=point["system"], outcome=point["outcome"],
-                    wall_s=point["wall_s"], seed=point["seed"],
+            if executor is not None:
+                self.ledger.write_run(
+                    executor, time.perf_counter() - self._t0_wall,
+                    figures={r.figure.fig_id: round(r.wall_s, 4)
+                             for r in reports},
+                    claims_ok=all(r.ok for r in reports),
                 )
-            figures = None
-            if reports is not None:
-                figures = {r.figure.fig_id: round(r.wall_s, 4)
-                           for r in reports}
-                if claims_ok is None:
-                    claims_ok = all(r.ok for r in reports)
-            self.ledger.record_run(
-                wall_s=round(_time.perf_counter() - self._t0_wall, 4),
-                timestamp=datetime.now(timezone.utc).isoformat(
-                    timespec="seconds"
-                ),
-                compiled=compiled.active(),
-                reps=executor.reps,
-                cache=executor.stats.to_dict(),
-                figures=figures,
-                claims_ok=claims_ok,
-            )
             self.ledger.close()
+        if self.observer is None or executor is None:
+            return 0
+        doc = self.observer.to_dict()
+        doc["executor"] = executor.stats.to_dict()
+        target = Path(getattr(self.args, "out", None) or "results",
+                      "metrics.json")
+        try:
+            path = write_metrics(doc.pop("metrics"), target, extra=doc)
+        except OSError as exc:
+            print(f"error: cannot write metrics sidecar {target}: {exc}",
+                  file=sys.stderr)
+            return 1
+        print(f"wrote {path}")
+        return 0
 
-
-def _maybe_observer(args: argparse.Namespace):
-    """A fresh :class:`~repro.obs.Observer` when ``--metrics`` is set,
-    else ``None`` (``use_observer(None)`` is a no-op)."""
-    if not getattr(args, "metrics", False):
-        return None
-    from .obs import Observer
-
-    return Observer()
-
-
-def _write_metrics_sidecar(observer, executor: SweepExecutor, out_dir) -> int:
-    """Write the ``metrics.json`` sidecar; return 0, or 1 on I/O failure
-    (one-line diagnostic instead of a traceback)."""
-    from pathlib import Path
-
-    from .obs import write_metrics
-
-    doc = observer.to_dict()
-    doc["executor"] = executor.stats.to_dict()
-    target = Path(out_dir) / "metrics.json"
-    try:
-        path = write_metrics(doc.pop("metrics"), target, extra=doc)
-    except OSError as exc:
-        print(f"error: cannot write metrics sidecar {target}: {exc}",
-              file=sys.stderr)
+    def verdict(self, executor: Optional[SweepExecutor] = None) -> int:
+        """The run's self-checks as an exit status: 1 on replica
+        disagreements (a determinism bug) or, under ``--check``, on any
+        invariant violation in ``executor``'s points (else the ambient
+        sanitizer's run); 0 otherwise.  Silent when there is nothing to
+        report and no ``--check``."""
+        disagreements = executor.disagreements if executor is not None \
+            else []
+        if disagreements:
+            print(f"replication: {len(disagreements)} replica "
+                  "disagreement(s) — bit-level divergence across RNG "
+                  "substreams on deterministic inputs (determinism bug)",
+                  file=sys.stderr)
+            for d in disagreements:
+                print(f"  {d.detail}", file=sys.stderr)
+            return 1
+        if self.sanitizer is None:
+            return 0
+        violations = (executor.violations if executor is not None
+                      else self.sanitizer.finalize())
+        if not violations:
+            print("sanitizer: all invariants held (0 violations)")
+            return 0
+        print(f"sanitizer: {len(violations)} violation(s)", file=sys.stderr)
+        for v in violations:
+            print(f"  [{v.monitor}/{v.kind}] t={v.time:.9f} {v.detail}",
+                  file=sys.stderr)
         return 1
-    print(f"wrote {path}")
-    return 0
 
 
-def _report_violations(violations) -> int:
-    """Print a sanitizer verdict; return the process exit code."""
-    if not violations:
-        print("sanitizer: all invariants held (0 violations)")
-        return 0
-    print(f"sanitizer: {len(violations)} violation(s)", file=sys.stderr)
-    for v in violations:
-        print(f"  [{v.monitor}/{v.kind}] t={v.time:.9f} {v.detail}",
-              file=sys.stderr)
-    return 1
+def _bad_pattern(system, cfg) -> bool:
+    """Print ``error: …`` when ``cfg`` cannot run on ``system``; ``True``
+    when it cannot (see :func:`repro.patterns.runner.check_pattern`)."""
+    from .patterns.runner import check_pattern
 
-
-def _report_disagreements(disagreements) -> int:
-    """Print replica-disagreement diagnostics; return the exit code.
-
-    Silent when empty: single-shot runs and clean replicated runs never
-    see this output.
-    """
-    if not disagreements:
-        return 0
-    print(f"replication: {len(disagreements)} replica disagreement(s) — "
-          "bit-level divergence across RNG substreams on deterministic "
-          "inputs (determinism bug)", file=sys.stderr)
-    for d in disagreements:
-        print(f"  {d.detail}", file=sys.stderr)
-    return 1
+    try:
+        check_pattern(system, cfg)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return True
+    return False
 
 
 def _unknown_figure(fig_ids: Iterable[str]) -> bool:
@@ -489,8 +497,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    "pooled points strand their event counts in workers)")
     p.add_argument("--no-cache", action="store_true",
                    help="disable the on-disk point cache (cold timings)")
-    p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                   help=f"point-cache directory (default: {DEFAULT_CACHE_DIR})")
+    _add_cache_dir_flag(p)
     _add_ledger_flags(p)
 
     p = sub.add_parser(
@@ -531,7 +538,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="only the newest N runs")
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="output format (default: text)")
-    _add_ledger_flags(p)
+    _add_ledger_dir_flag(p)
 
     p = sub.add_parser(
         "top",
@@ -624,16 +631,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _maybe_sanitizer(check: bool):
-    """A fresh ambient sanitizer when ``check`` is set, else ``None``
-    (``use_sanitizer(None)`` is a no-op)."""
-    if not check:
-        return None
-    from .verify import Sanitizer
-
-    return Sanitizer()
-
-
 def _run_lint(args: argparse.Namespace) -> int:
     """``comb lint``: run the static analyzer and gate on new violations."""
     from .lint import (
@@ -689,15 +686,7 @@ def _run_lint(args: argparse.Namespace) -> int:
 
 def _run_trace(args: argparse.Namespace) -> int:
     """``comb trace``: one observed run, three export files."""
-    from pathlib import Path
-
-    from .obs import (
-        Observer,
-        use_observer,
-        write_chrome_trace,
-        write_csv_timeline,
-        write_metrics,
-    )
+    from .obs import write_chrome_trace, write_csv_timeline
 
     observer = Observer(ring_capacity=args.ring_capacity, kernel=args.kernel)
     target = args.target
@@ -734,6 +723,8 @@ def _run_trace(args: argparse.Namespace) -> int:
             ),
             topology=args.topology,
         )
+        if _bad_pattern(system, cfg):
+            return 2
         # Bracket the stream with executor-style point markers so
         # attribution labels the point method="pattern" and applies the
         # warmup-window filter (see repro.obs.attribution).
@@ -792,8 +783,6 @@ def _run_trace(args: argparse.Namespace) -> int:
 
 def _write_attribution(events, out_dir, target) -> object:
     """Stitch + attribute ``events``; print the table, write the JSON."""
-    import json
-
     from .obs import (
         TRACE_SCHEMA_VERSION,
         attribute_events,
@@ -814,36 +803,60 @@ def _write_attribution(events, out_dir, target) -> object:
     return path
 
 
+def _run_figures(args: argparse.Namespace) -> int:
+    """``comb figures`` / ``comb report``: regenerate figures, check claims.
+
+    ``report`` is ``figures`` over the default id set, rendered by
+    :func:`format_report`, with the claims verdict as its exit status.
+    """
+    ids = getattr(args, "ids", None)
+    if _unknown_figure(ids or ()):
+        return 2
+    ctx = _RunContext(args, args.command)
+    if ctx.error:
+        return 1
+    with ctx.executor() as executor:
+        with use_observer(ctx.observer):
+            reports = run_all(per_decade=args.per_decade, fig_ids=ids,
+                              executor=executor)
+        if getattr(args, "out", None):
+            paths = export_figures([r.figure for r in reports], args.out)
+            print(f"wrote {len(paths)} files to {args.out}")
+    if ctx.finish(executor, reports):
+        return 1
+    if args.command == "report":
+        print(format_report(reports))
+    else:
+        for rep in reports:
+            if not args.no_plots:
+                print(render(rep.figure))
+            for c in rep.claims:
+                mark = "PASS" if c.ok else "FAIL"
+                print(f"  [{mark}] {c.claim} ({c.detail})")
+    if ctx.verdict(executor):
+        return 1
+    if args.command == "report" and not all(r.ok for r in reports):
+        return 1
+    return 0
+
+
 def _run_bench(args: argparse.Namespace) -> int:
     """``comb bench``: one timed pass over the grid, one BENCH record."""
-    from pathlib import Path
-
-    import uuid
-
     from .core.bench import DEFAULT_OUT_DIR, run_bench, write_record
 
     profiled = [args.profile] if args.profile is not None else []
     if _unknown_figure([*(args.ids or ()), *profiled]):
         return 2
-    cache = None if args.no_cache else PointCache(args.cache_dir)
-    ledger = None
-    if not args.no_ledger:
-        from .obs.ledger import RunLedger
-
-        ledger_dir = Path(args.ledger_dir)
-        try:
-            ledger = RunLedger(ledger_dir, uuid.uuid4().hex[:12], "bench")
-        except OSError as exc:
-            print(f"error: cannot open run ledger under {ledger_dir}: {exc}",
-                  file=sys.stderr)
-            return 1
+    ctx = _RunContext(args, "bench")
+    if ctx.error:
+        return 1
     try:
         record = run_bench(ids=args.ids, per_decade=args.per_decade,
-                           jobs=args.jobs, cache=cache,
-                           profile=args.profile, echo=print, ledger=ledger)
+                           jobs=args.jobs, cache=ctx.cache(),
+                           profile=args.profile, echo=print,
+                           ledger=ctx.ledger)
     finally:
-        if ledger is not None:
-            ledger.close()
+        ctx.finish()
     out_dir = Path(args.out_dir) if args.out_dir else DEFAULT_OUT_DIR
     path = write_record(record, out_dir)
     cache_doc = record["cache"]
@@ -855,33 +868,60 @@ def _run_bench(args: argparse.Namespace) -> int:
     print(line)
     print(f"wrote {path}")
     if args.compare:
-        from .obs.compare import DEFAULT_MIN_RECORDS, compare_history
-
-        report = compare_history(out_dir)
-        if report is None:
-            print(f"compare: insufficient history — fewer than "
-                  f"{DEFAULT_MIN_RECORDS + 1} BENCH records in {out_dir}; "
-                  f"nothing to judge yet")
-        else:
-            print(f"compare: {path.name} vs the trajectory's older records")
-            print(report.format())
-            if args.fail_on_regression and report.exit_code:
-                return report.exit_code
+        code = _judge_history(out_dir)
+        if args.fail_on_regression and code:
+            return code
     return 0 if record["claims_ok"] else 1
+
+
+def _judge_history(history_dir, min_rel: Optional[float] = None,
+                   min_records: Optional[int] = None,
+                   as_json: bool = False) -> int:
+    """Judge the newest ``BENCH_<n>.json`` in ``history_dir`` against the
+    older records of its stratum; print the verdict, return its exit
+    code (0 while that history is too short)."""
+    from .obs.compare import (
+        DEFAULT_MIN_RECORDS,
+        DEFAULT_MIN_REL,
+        CompareReport,
+        compare_history,
+    )
+
+    if min_records is None:
+        min_records = DEFAULT_MIN_RECORDS
+    report = compare_history(
+        history_dir, min_records=min_records,
+        min_rel=DEFAULT_MIN_REL if min_rel is None else min_rel,
+    )
+    if report is None:
+        # Degenerate histories (a single record, or --min-records 0
+        # against one) are "insufficient history", never judged
+        # against an empty/zero-width baseline.
+        reason = (f"insufficient history: fewer than {max(min_records, 1)} "
+                  f"older BENCH records in {history_dir} share the newest "
+                  f"record's stratum")
+        if as_json:
+            print(json.dumps({**CompareReport().to_dict(),
+                              "exit_rationale": reason},
+                             indent=2, sort_keys=True))
+        else:
+            print(f"compare: {reason}; nothing to judge yet (not a failure)")
+        return 0
+    if as_json:
+        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    else:
+        print(f"compare: newest record in {history_dir} vs the older "
+              f"records of its stratum")
+        print(report.format())
+    return report.exit_code
 
 
 def _run_compare_runs(args: argparse.Namespace) -> int:
     """``comb compare <runs…>``: the statistical regression sentinel."""
-    import json as _json
-    from pathlib import Path
+    from .obs import compare_paths
+    from .obs.compare import DEFAULT_MIN_REL
 
-    from .obs import compare_history, compare_paths
-    from .obs.compare import DEFAULT_MIN_RECORDS, DEFAULT_MIN_REL
-
-    as_json = getattr(args, "format", "text") == "json"
-    min_rel = args.min_rel if args.min_rel is not None else DEFAULT_MIN_REL
-    min_records = (args.min_records if args.min_records is not None
-                   else DEFAULT_MIN_RECORDS)
+    as_json = args.format == "json"
     runs = [Path(r) for r in args.runs]
     for run in runs:
         if not run.exists():
@@ -895,57 +935,31 @@ def _run_compare_runs(args: argparse.Namespace) -> int:
             print(f"error: history mode needs a directory of BENCH_*.json "
                   f"records, got {runs[0]}", file=sys.stderr)
             return 2
-        report = compare_history(runs[0], min_rel=min_rel,
-                                 min_records=min_records)
-        if report is None:
-            # Degenerate histories (a single record, or --min-records 0
-            # against one) are "insufficient history", never judged
-            # against an empty/zero-width baseline.
-            if as_json:
-                print(_json.dumps({
-                    "schema_version": 1,
-                    "comparisons": [], "skipped": [], "regressions": [],
-                    "exit_code": 0,
-                    "exit_rationale": (
-                        f"insufficient history: fewer than "
-                        f"{max(min_records, 1) + 1} BENCH records"
-                    ),
-                }, indent=2, sort_keys=True))
-            else:
-                print(f"compare: insufficient history — fewer than "
-                      f"{max(min_records, 1) + 1} BENCH records in "
-                      f"{runs[0]}; nothing to judge yet (not a failure)")
-            return 0
-        if not as_json:
-            print(f"compare: newest record in {runs[0]} vs all older "
-                  f"records")
-    elif len(runs) == 2:
-        # Explicit A-vs-B: the user picked the samples, so singleton
-        # baselines are judged (zero-width CI) instead of skipped;
-        # --min-records restores the stricter gate.
-        report = compare_paths(
-            runs[0], runs[1], min_rel=min_rel,
-            min_records=min_records if args.min_records is not None else 1,
-        )
-        if not as_json:
-            print(f"compare: {runs[1]} (candidate) vs {runs[0]} (baseline)")
-    else:
+        return _judge_history(runs[0], args.min_rel, args.min_records,
+                              as_json)
+    if len(runs) != 2:
         print("error: compare takes 0 run paths (system table), 1 "
               "(BENCH history dir), or 2 (baseline candidate)",
               file=sys.stderr)
         return 2
+    # Explicit A-vs-B: the user picked the samples, so singleton
+    # baselines are judged (zero-width CI) instead of skipped;
+    # --min-records restores the stricter gate.
+    report = compare_paths(
+        runs[0], runs[1],
+        min_rel=args.min_rel if args.min_rel is not None else DEFAULT_MIN_REL,
+        min_records=args.min_records if args.min_records is not None else 1,
+    )
     if as_json:
-        print(_json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
+        print(f"compare: {runs[1]} (candidate) vs {runs[0]} (baseline)")
         print(report.format())
     return report.exit_code
 
 
 def _run_history(args: argparse.Namespace) -> int:
     """``comb history``: deterministic aggregates over the run ledger."""
-    import json as _json
-    from pathlib import Path
-
     from .obs.ledger import (
         filter_records,
         format_history,
@@ -967,7 +981,7 @@ def _run_history(args: argparse.Namespace) -> int:
     aggregate = history_aggregate(filtered)
     if args.format == "json":
         aggregate["corrupt_lines"] = corrupt
-        print(_json.dumps(aggregate, indent=2, sort_keys=True))
+        print(json.dumps(aggregate, indent=2, sort_keys=True))
     else:
         print(format_history(aggregate, corrupt=corrupt))
     return 0
@@ -975,8 +989,6 @@ def _run_history(args: argparse.Namespace) -> int:
 
 def _run_top(args: argparse.Namespace) -> int:
     """``comb top``: attach to a sweep through its stream file."""
-    from pathlib import Path
-
     from .obs.live_consumers import run_top
 
     stream = Path(args.stream)
@@ -1002,8 +1014,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "polling":
         from .verify.context import use_sanitizer
 
-        sanitizer = _maybe_sanitizer(args.check)
-        with use_sanitizer(sanitizer):
+        ctx = _RunContext(args, "polling")
+        with use_sanitizer(ctx.sanitizer):
             pt = run_polling(get_system(args.system), PollingConfig(
                 msg_bytes=int(args.size * 1024),
                 poll_interval_iters=args.interval,
@@ -1014,15 +1026,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"  availability = {pt.availability:.3f}")
         print(f"  bandwidth    = {pt.bandwidth_MBps:.2f} MB/s")
         print(f"  messages     = {pt.msgs}, interrupts = {pt.interrupts}")
-        if sanitizer is not None:
-            return _report_violations(sanitizer.finalize())
-        return 0
+        return ctx.verdict()
 
     if args.command == "pww":
         from .verify.context import use_sanitizer
 
-        sanitizer = _maybe_sanitizer(args.check)
-        with use_sanitizer(sanitizer):
+        ctx = _RunContext(args, "pww")
+        with use_sanitizer(ctx.sanitizer):
             pt = run_pww(get_system(args.system), PwwConfig(
                 msg_bytes=int(args.size * 1024),
                 work_interval_iters=args.interval,
@@ -1036,16 +1046,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"  work  = {pt.work_s * 1e6:8.1f} us/batch "
               f"(dry {pt.work_dry_s * 1e6:.1f} us)")
         print(f"  wait  = {pt.wait_s * 1e6:8.1f} us/batch")
-        if sanitizer is not None:
-            return _report_violations(sanitizer.finalize())
-        return 0
+        return ctx.verdict()
 
     if args.command == "pattern":
         from .patterns import PatternConfig, run_pattern
-        from .patterns.runner import check_pattern
         from .verify.context import use_sanitizer
 
-        sanitizer = _maybe_sanitizer(args.check)
         cfg = PatternConfig(
             pattern=_PATTERN_ALIASES[args.pattern],
             ranks=args.ranks,
@@ -1060,12 +1066,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             grid=tuple(args.grid) if args.grid else (),
         )
         system = get_system(args.system)
-        try:
-            check_pattern(system, cfg)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        if _bad_pattern(system, cfg):
             return 2
-        with use_sanitizer(sanitizer):
+        ctx = _RunContext(args, "pattern")
+        with use_sanitizer(ctx.sanitizer):
             pt = run_pattern(system, cfg)
         algo = f" [{pt.algorithm}]" if pt.algorithm else ""
         print(f"{pt.system}: {pt.pattern}{algo}, {pt.ranks} ranks on "
@@ -1078,9 +1082,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("  per-rank availability:")
         for rank, avail in enumerate(pt.availability_per_rank):
             print(f"    rank {rank:>3d}: {avail:.3f}")
-        if sanitizer is not None:
-            return _report_violations(sanitizer.finalize())
-        return 0
+        return ctx.verdict()
 
     if args.command == "offload":
         suite = CombSuite(get_system(args.system))
@@ -1096,43 +1098,8 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"bandwidth={r.bandwidth_MBps:.2f} MB/s")
         return 0
 
-    if args.command == "figures":
-        from .obs.context import use_observer
-
-        if _unknown_figure(args.ids or ()):
-            return 2
-        observer = _maybe_observer(args)
-        live = _LiveSweep(args, "figures")
-        if live.error:
-            print(live.error, file=sys.stderr)
-            return 1
-        with _make_executor(
-            args, metrics=observer.metrics if observer else None,
-            telemetry=live.channel, point_log=live.point_log,
-        ) as executor:
-            with use_observer(observer):
-                reports = run_all(per_decade=args.per_decade,
-                                  fig_ids=args.ids, executor=executor)
-            if args.out:
-                paths = export_figures([r.figure for r in reports], args.out)
-                print(f"wrote {len(paths)} files to {args.out}")
-            if observer is not None and _write_metrics_sidecar(
-                observer, executor, args.out or "results"
-            ):
-                live.finish(executor, reports)
-                return 1
-        live.finish(executor, reports)
-        for rep in reports:
-            if not args.no_plots:
-                print(render(rep.figure))
-            for c in rep.claims:
-                mark = "PASS" if c.ok else "FAIL"
-                print(f"  [{mark}] {c.claim} ({c.detail})")
-        if _report_disagreements(executor.disagreements):
-            return 1
-        if args.check:
-            return _report_violations(executor.violations)
-        return 0
+    if args.command in ("figures", "report"):
+        return _run_figures(args)
 
     if args.command == "bench":
         return _run_bench(args)
@@ -1159,32 +1126,25 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "scenario":
-        import json as _json
-        import uuid as _uuid
-        from pathlib import Path as _Path
+        from .scenario import (
+            ScenarioError,
+            format_scenario_results,
+            run_scenario,
+        )
 
-        from .scenario import format_scenario_results, run_scenario
-
-        ledger = None
-        if not args.no_ledger:
-            from .obs.ledger import RunLedger
-
-            ledger_dir = _Path(args.ledger_dir)
-            try:
-                ledger = RunLedger(ledger_dir, _uuid.uuid4().hex[:12],
-                                   "scenario")
-            except OSError as exc:
-                print(f"error: cannot open run ledger under {ledger_dir}: "
-                      f"{exc}", file=sys.stderr)
-                return 1
+        ctx = _RunContext(args, "scenario")
+        if ctx.error:
+            return 1
         try:
-            results = run_scenario(args.spec, ledger=ledger)
+            results = run_scenario(args.spec, ledger=ctx.ledger)
+        except ScenarioError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         finally:
-            if ledger is not None:
-                ledger.close()
+            ctx.finish()
         print(format_scenario_results(results))
         if args.out:
-            _Path(args.out).write_text(_json.dumps(results, indent=2))
+            Path(args.out).write_text(json.dumps(results, indent=2))
             print(f"\nwrote {args.out}")
         return 0
 
@@ -1222,34 +1182,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "trace":
         return _run_trace(args)
-
-    if args.command == "report":
-        from .obs.context import use_observer
-
-        observer = _maybe_observer(args)
-        live = _LiveSweep(args, "report")
-        if live.error:
-            print(live.error, file=sys.stderr)
-            return 1
-        with _make_executor(
-            args, metrics=observer.metrics if observer else None,
-            telemetry=live.channel, point_log=live.point_log,
-        ) as executor:
-            with use_observer(observer):
-                reports = run_all(per_decade=args.per_decade,
-                                  executor=executor)
-            if observer is not None and _write_metrics_sidecar(
-                observer, executor, "results"
-            ):
-                live.finish(executor, reports)
-                return 1
-        live.finish(executor, reports)
-        print(format_report(reports))
-        if _report_disagreements(executor.disagreements):
-            return 1
-        if args.check and _report_violations(executor.violations):
-            return 1
-        return 0 if all(r.ok for r in reports) else 1
 
     raise AssertionError("unreachable")  # pragma: no cover
 

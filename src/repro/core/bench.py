@@ -18,16 +18,14 @@ recorded evidence.
 from __future__ import annotations
 
 import json
-import platform
 import re
 import time
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
-from .. import compiled
 from ..obs import MetricsRegistry
-from .executor import PointCache, SweepExecutor, code_salt
+from ..obs.ledger import RunLedger, run_fields
+from .executor import PointCache, SweepExecutor
 
 DEFAULT_OUT_DIR = Path("results") / "bench"
 
@@ -84,7 +82,7 @@ def run_bench(
     cache: Optional[PointCache] = None,
     profile: Optional[str] = None,
     echo: Callable[[str], None] = print,
-    ledger: Optional[Any] = None,
+    ledger: Optional[RunLedger] = None,
 ) -> Dict[str, Any]:
     """Time one pass over the benchmark grid; return the record dict.
 
@@ -95,9 +93,12 @@ def run_bench(
     ``echo`` receives one progress line per figure.  ``ledger`` is an
     open :class:`~repro.obs.ledger.RunLedger`: every point outcome and
     the closing run summary are appended to it (timing is unchanged —
-    point logging costs two timestamps per simulated point).
+    point logging costs two timestamps per simulated point).  The record
+    is :func:`~repro.obs.ledger.run_fields` plus the BENCH-only
+    ``per_decade``, ``cache_enabled``, ``metrics``, ``events_processed``
+    and ``profile``.
     """
-    from ..analysis import PAPER_FIGURES, figure_spec, run_figure
+    from ..analysis import PAPER_FIGURES, figure_spec, run_all
 
     fig_ids = list(ids) if ids else list(PAPER_FIGURES)
     for fig_id in fig_ids + ([profile] if profile is not None else []):
@@ -110,77 +111,34 @@ def run_bench(
                        point_log=ledger is not None) as executor:
         for fig_id in fig_ids:
             t0 = time.time()
-            report = run_figure(fig_id, per_decade=per_decade,
-                                executor=executor)
+            [report] = run_all(per_decade, [fig_id], executor=executor)
             per_figure[fig_id] = round(time.time() - t0, 4)
             claims_ok = claims_ok and report.ok
             echo(f"{fig_id}: {per_figure[fig_id]:7.2f}s "
                  f"({'ok' if report.ok else 'CLAIMS FAILED'})")
-        stats = executor.stats
     total_s = time.time() - t_total_s
 
-    record: Dict[str, Any] = {
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "per_decade": per_decade,
-        "jobs": jobs,
-        "cache_enabled": cache is not None,
-        "code_salt": code_salt(),
-        "python": platform.python_version(),
-        # Which simulation core produced this record (see repro.compiled).
-        "compiled": compiled.active(),
-        "total_s": round(total_s, 4),
-        "figures": per_figure,
-        "cache": stats.to_dict(),
+    record = run_fields(executor, total_s, per_figure, claims_ok)
+    record.update(
+        per_decade=per_decade,
+        cache_enabled=cache is not None,
         # Wall-clock stage profile from the observability layer: cache
         # lookup latency, per-point simulation wall times, fan-out
         # utilization (see docs/observability.md).
-        "metrics": registry.to_dict(),
-        "claims_ok": claims_ok,
-    }
-    events = events_processed_total(registry)
-    if events is not None:
+        metrics=registry.to_dict(),
+    )
+    if "sim.events_processed" in registry:
         # The simulator's own cost model: heap events dispatched across
         # all in-process points (pooled points simulate elsewhere).
-        record["events_processed"] = events
+        record["events_processed"] = int(
+            registry.counter("sim.events_processed").value)
     if profile is not None:
         echo(f"profiling {profile} (serial, uncached)...")
         record["profile"] = profile_figure(profile, per_decade=per_decade)
     if ledger is not None:
-        for point in executor.point_records:
-            ledger.record_point(
-                key=point["key"], kind=point["kind"],
-                system=point["system"], outcome=point["outcome"],
-                wall_s=point["wall_s"], seed=point["seed"],
-            )
-        ledger.record_run(
-            wall_s=round(total_s, 4),
-            timestamp=record["timestamp"],
-            compiled=record["compiled"],
-            reps=1,
-            cache=record["cache"],
-            figures=per_figure,
-            total_s=record["total_s"],
-            claims_ok=claims_ok,
-        )
+        ledger.write_run(executor, total_s, figures=per_figure,
+                         claims_ok=claims_ok)
     return record
-
-
-def events_processed_total(registry: MetricsRegistry) -> Optional[int]:
-    """Sum the per-point engine event counters out of a metrics registry,
-    or ``None`` when the registry carries none (e.g. all points pooled)."""
-    doc = registry.to_dict()
-    total = 0
-    seen = False
-    for name, series in doc.get("counters", {}).items():
-        if name != "sim.events_processed":
-            continue
-        seen = True
-        if isinstance(series, (int, float)):
-            total += int(series)
-        elif isinstance(series, dict):
-            total += int(sum(v for v in series.values()
-                             if isinstance(v, (int, float))))
-    return total if seen else None
 
 
 def write_record(record: Dict[str, Any], out_dir: Union[str, Path]) -> Path:

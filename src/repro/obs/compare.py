@@ -36,6 +36,9 @@ DEFAULT_MIN_REL = 0.05
 DEFAULT_MIN_RECORDS = 2
 #: Seed for the bootstrap RNG (fixed: comparisons must be reproducible).
 BOOTSTRAP_SEED = 20260806
+#: Run-record fields that define a population: history mode judges a
+#: record only against older records that agree on all of them.
+STRATUM_KEYS = ("compiled", "per_decade", "jobs")
 
 
 def scalar_profile(doc: Dict[str, object]) -> Dict[str, float]:
@@ -78,12 +81,34 @@ def scalar_profile(doc: Dict[str, object]) -> Dict[str, float]:
     return out
 
 
+def _read_docs(path: Path) -> List[Dict[str, object]]:
+    """The run documents in one file: the file itself, or every ``run``
+    record of a ``.jsonl`` run ledger (:mod:`repro.obs.ledger`)."""
+    if path.suffix == ".jsonl":
+        from .ledger import filter_records, read_records
+
+        return filter_records(read_records(path)[0], rec="run")
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError):
+        return []  # unreadable / non-JSON: not a sample
+    return [doc] if isinstance(doc, dict) else []
+
+
+def _samples(docs: Sequence[Dict[str, object]]) -> Dict[str, List[float]]:
+    samples: Dict[str, List[float]] = {}
+    for doc in docs:
+        for name, value in scalar_profile(doc).items():
+            samples.setdefault(name, []).append(value)
+    return samples
+
+
 def load_samples(run: Path) -> Dict[str, List[float]]:
     """Per-metric samples from a run file or a directory of run files.
 
-    ``.jsonl`` files are read as run ledgers (:mod:`repro.obs.ledger`):
-    every ``run`` record inside becomes one sample, so a long-lived
-    ledger serves directly as a many-sample history source.
+    ``.jsonl`` files are read as run ledgers: every ``run`` record
+    inside becomes one sample, so a long-lived ledger serves directly as
+    a many-sample history source.
     """
     if run.is_dir():
         paths = sorted(
@@ -93,24 +118,7 @@ def load_samples(run: Path) -> Dict[str, List[float]]:
         )
     else:
         paths = [run]
-    samples: Dict[str, List[float]] = {}
-    docs: List[Dict[str, object]] = []
-    for path in paths:
-        if path.suffix == ".jsonl":
-            from .ledger import run_record_samples
-
-            docs.extend(run_record_samples(path))
-            continue
-        try:
-            doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            continue  # unreadable / non-JSON: not a sample
-        if isinstance(doc, dict):
-            docs.append(doc)
-    for doc in docs:
-        for name, value in scalar_profile(doc).items():
-            samples.setdefault(name, []).append(value)
-    return samples
+    return _samples([doc for path in paths for doc in _read_docs(path)])
 
 
 @dataclass(frozen=True)
@@ -300,38 +308,47 @@ def compare_paths(
     )
 
 
+def _stratum(doc: Dict[str, object]) -> Tuple[object, ...]:
+    """The population a run record belongs to (:data:`STRATUM_KEYS`)."""
+    return tuple(doc.get(key) for key in STRATUM_KEYS)
+
+
 def compare_history(
     history_dir: Path,
     min_rel: float = DEFAULT_MIN_REL,
     min_records: int = DEFAULT_MIN_RECORDS,
 ) -> Optional[CompareReport]:
-    """History mode: newest ``BENCH_<n>.json`` against all older ones.
+    """History mode: newest ``BENCH_<n>.json`` against the older records
+    of its own population.
 
-    Returns ``None`` when the directory holds fewer than
-    ``min_records + 1`` records — callers should *skip cleanly* (exit
-    0), which is what the CI sentinel job does while the committed
-    trajectory is still short.  ``min_records`` is clamped to at least 1
-    here: a single-record history has no baseline at all, and judging
-    the newest record against an empty sample set would produce
-    degenerate (zero-width) confidence intervals, so even
-    ``min_records=0`` reports insufficient history instead.
+    The baseline is the older records whose stratum (compiled kernel,
+    grid resolution, job count; :data:`STRATUM_KEYS`) equals the newest
+    record's: a compiled run is never judged against pure ones.
+    Returns ``None`` when fewer than ``min_records`` older records match
+    — callers should *skip cleanly* (exit 0), which is what the CI
+    sentinel job does while the committed trajectory is still short.
+    ``min_records`` is clamped to at least 1 here: judging the newest
+    record against an empty sample set would produce degenerate
+    (zero-width) confidence intervals, so even ``min_records=0`` reports
+    insufficient history.
     """
     records: List[Tuple[int, Path]] = []
     for path in history_dir.glob("BENCH_*.json"):
         stem_n = path.stem.split("_", 1)[-1]
         if stem_n.isdigit():
             records.append((int(stem_n), path))
-    records.sort()
-    if len(records) < max(min_records, 1) + 1:
+    if not records:
         return None
-    *older, (_, newest) = records
-    baseline: Dict[str, List[float]] = {}
-    for _, path in older:
-        for name, values in load_samples(path).items():
-            baseline.setdefault(name, []).extend(values)
+    records.sort()
+    *older, newest = [_read_docs(path) for _, path in records]
+    population = [_stratum(doc) for doc in newest]
+    baseline = [doc for docs in older for doc in docs
+                if _stratum(doc) in population]
+    if len(baseline) < max(min_records, 1):
+        return None
     return compare_samples(
-        baseline,
-        load_samples(newest),
+        _samples(baseline),
+        _samples(newest),
         min_rel=min_rel,
         min_records=min_records,
     )

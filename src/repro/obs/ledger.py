@@ -14,17 +14,27 @@ leaves at most one torn final line (tolerated and counted by
 :func:`read_records`), and the file needs no migration — old and new
 record shapes coexist, distinguished by ``rec`` and ``v``.
 
+A ``run`` record is :func:`run_fields` — the schema it shares with
+``BENCH_<n>.json`` records — plus the ledger's own ``v``, ``rec``,
+``run_id``, ``cmd``, ``wall_s`` and ``points``.  Every writer goes
+through :meth:`RunLedger.write_run`.
+
 Consumers: ``comb history`` (filter / aggregate / per-figure wall
 trend via :func:`history_aggregate`), and ``comb compare``, which
 accepts a ledger file as a run-history source (each ``run`` record
-becomes one sample; see :func:`run_record_samples`).
+becomes one sample; see :func:`repro.obs.compare.load_samples`).
 """
 
 from __future__ import annotations
 
 import json
+import platform
+from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Dict, IO, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, IO, List, Optional, Tuple
+
+if TYPE_CHECKING:
+    from ..core.executor import SweepExecutor
 
 #: Version stamp on every ledger record; additive-only within a version.
 LEDGER_SCHEMA_VERSION = 1
@@ -38,6 +48,31 @@ LEDGER_FILENAME = "ledger.jsonl"
 
 def ledger_path(ledger_dir: Path) -> Path:
     return ledger_dir / LEDGER_FILENAME
+
+
+def run_fields(
+    executor: "SweepExecutor",
+    total_s: float,
+    figures: Optional[Dict[str, float]] = None,
+    claims_ok: Optional[bool] = None,
+) -> Dict[str, Any]:
+    """The fields every run record carries, BENCH and ledger alike."""
+    from .. import compiled
+    from ..core.executor import code_salt
+
+    return {
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        # Which simulation core produced this run (see repro.compiled).
+        "compiled": compiled.active(),
+        "python": platform.python_version(),
+        "code_salt": code_salt(),
+        "jobs": executor.jobs,
+        "reps": executor.reps,
+        "cache": executor.stats.to_dict(),
+        "total_s": round(total_s, 4),
+        "figures": figures or {},
+        "claims_ok": claims_ok,
+    }
 
 
 class RunLedger:
@@ -84,40 +119,34 @@ class RunLedger:
             "figure": figure,
         })
 
-    def record_run(
-        self,
-        wall_s: float,
-        timestamp: str,
-        compiled: bool,
-        reps: int,
-        cache: Dict[str, Any],
-        figures: Optional[Dict[str, float]] = None,
-        total_s: Optional[float] = None,
-        claims_ok: Optional[bool] = None,
-        extra: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        """The closing record summarizing the whole run."""
-        doc: Dict[str, Any] = {
+    def record_run(self, wall_s: float, **fields: Any) -> None:
+        """The closing record summarizing the whole run: ``fields`` (the
+        :func:`run_fields` schema) plus the ledger's own fields."""
+        self._append({
+            "total_s": wall_s,
+            **fields,
             "v": LEDGER_SCHEMA_VERSION,
             "rec": "run",
             "run_id": self.run_id,
             "cmd": self.cmd,
-            "timestamp": timestamp,
             "wall_s": wall_s,
-            "total_s": total_s if total_s is not None else wall_s,
-            "compiled": compiled,
-            "reps": reps,
             "points": self.points,
-            "cache": {k: cache[k] for k in sorted(cache)},
-            "figures": (
-                {k: figures[k] for k in sorted(figures)}
-                if figures else {}
-            ),
-            "claims_ok": claims_ok,
-        }
-        if extra:
-            doc.update(extra)
-        self._append(doc)
+        })
+
+    def write_run(
+        self,
+        executor: "SweepExecutor",
+        wall_s: float,
+        figures: Optional[Dict[str, float]] = None,
+        claims_ok: Optional[bool] = None,
+    ) -> None:
+        """Append ``executor``'s point records, then the closing run record
+        (``wall_s`` is also its ``total_s``): the one writer every command
+        goes through."""
+        for point in executor.point_records:
+            self.record_point(**point)
+        self.record_run(round(wall_s, 4),
+                        **run_fields(executor, wall_s, figures, claims_ok))
 
     def close(self) -> None:
         try:
@@ -275,17 +304,6 @@ def format_history(
     return "\n".join(lines)
 
 
-def run_record_samples(path: Path) -> List[Dict[str, Any]]:
-    """The ledger's ``run`` records, for ``comb compare`` sampling.
-
-    Each run record already carries the ``total_s`` / ``figures`` shape
-    :func:`repro.obs.compare.scalar_profile` understands, so a ledger
-    file plugs straight in as a history source.
-    """
-    records, _corrupt = read_records(path)
-    return [r for r in records if r.get("rec") == "run"]
-
-
 __all__ = [
     "DEFAULT_LEDGER_DIR",
     "LEDGER_FILENAME",
@@ -296,5 +314,5 @@ __all__ = [
     "history_aggregate",
     "ledger_path",
     "read_records",
-    "run_record_samples",
+    "run_fields",
 ]

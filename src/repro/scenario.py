@@ -34,8 +34,10 @@ for the point-producing kinds (polling/pww/pattern)::
 Each point then runs as up to ``reps`` sub-runs on named RNG substreams
 (optionally stopping early once the availability CI is at most
 ``ci_width`` wide) and its result dict carries a ``replication``
-summary.  Without the key — or with ``reps: 1`` — the scenario takes
-the direct single-shot path, bit-identical to earlier releases.
+summary.  Without the key — or with ``reps: 1`` — each point runs once,
+single-shot, with the same values as earlier releases.  Either way the
+points run through one :class:`~repro.core.executor.SweepExecutor`, so
+the run ledger records every one of them.
 """
 
 from __future__ import annotations
@@ -43,13 +45,14 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Union
 
 from .baselines import run_netperf, run_pingpong
 from .config import PRESETS, SystemConfig, get_system
-from .core import CombSuite, PollingConfig, PwwConfig, run_polling, run_pww
+from .core import CombSuite, PollingConfig, PwwConfig
 from .core.executor import PointTask, SweepExecutor
-from .patterns import PatternConfig, run_pattern
+from .patterns import PatternConfig
+from .patterns.runner import check_pattern
 
 KB = 1024
 
@@ -112,17 +115,13 @@ def _replace_path(obj, parts: List[str], value):
 def _run_experiment(
     system: SystemConfig,
     spec: Dict[str, Any],
-    executor: Optional[SweepExecutor] = None,
+    executor: SweepExecutor,
 ) -> Dict:
     kind = spec.get("kind")
     msg_bytes = int(spec.get("msg_kb", 100) * KB)
     cfg_extra = dict(spec.get("config", {}))
 
-    def run_point(point_kind: str, cfg, direct) -> Dict:
-        # The direct path (no replication requested) is kept verbatim:
-        # its results are bit-identical to pre-replication scenarios.
-        if executor is None:
-            return direct(system, cfg).to_dict()
+    def run_point(point_kind: str, cfg) -> Dict:
         return executor.run_one(PointTask(point_kind, system, cfg)).to_dict()
 
     if kind == "polling":
@@ -132,7 +131,7 @@ def _run_experiment(
                 msg_bytes=msg_bytes, poll_interval_iters=int(interval_iters),
                 **cfg_extra,
             )
-            points.append(run_point("polling", cfg, run_polling))
+            points.append(run_point("polling", cfg))
         return {"kind": kind, "points": points}
     if kind == "pww":
         points = []
@@ -141,7 +140,7 @@ def _run_experiment(
                 msg_bytes=msg_bytes, work_interval_iters=int(interval_iters),
                 **cfg_extra,
             )
-            points.append(run_point("pww", cfg, run_pww))
+            points.append(run_point("pww", cfg))
         return {"kind": kind, "points": points}
     if kind == "offload":
         verdict = CombSuite(system).offload_verdict(msg_bytes=msg_bytes)
@@ -180,18 +179,23 @@ def _run_experiment(
                 topology=spec.get("topology", "crossbar"),
                 **cfg_extra,
             )
-            points.append(run_point("pattern", cfg, run_pattern))
+            try:
+                check_pattern(system, cfg)
+            except ValueError as exc:
+                raise ScenarioError(str(exc)) from None
+            points.append(run_point("pattern", cfg))
         return {"kind": kind, "points": points}
     raise ScenarioError(f"unknown experiment kind {kind!r}")
 
 
-def _replication_executor(
+def _scenario_executor(
     spec: Dict[str, Any], point_log: bool = False
-) -> Optional[SweepExecutor]:
-    """Executor for the scenario's ``replication`` request (or ``None``)."""
+) -> SweepExecutor:
+    """Executor for the scenario's ``replication`` request (default:
+    single-shot)."""
     rep_spec = spec.get("replication")
     if rep_spec is None:
-        return None
+        rep_spec = {}
     if not isinstance(rep_spec, dict):
         raise ScenarioError("'replication' must be an object")
     try:
@@ -203,33 +207,33 @@ def _replication_executor(
     ci_width = rep_spec.get("ci_width")
     if ci_width is not None:
         ci_width = float(ci_width)
-    if reps == 1:
-        return None  # single-shot: keep the bit-identical direct path
     return SweepExecutor(reps=reps, ci_width=ci_width, point_log=point_log)
 
 
 def run_scenario(spec: Union[Dict, str, Path], ledger: Any = None) -> Dict:
     """Execute a scenario; returns the result document (JSON-ready).
 
-    ``ledger`` is an open :class:`~repro.obs.ledger.RunLedger`: replicated
-    scenarios (the executor-driven path) append per-point outcome records
-    and every scenario appends a closing run record.  Single-shot
-    scenarios keep the bit-identical direct path — the ledger then only
-    carries the run summary.
+    ``ledger`` is an open :class:`~repro.obs.ledger.RunLedger`: the
+    scenario appends its per-point outcome records and a closing run
+    record to it.
     """
     import time as _time
 
     if not isinstance(spec, dict):
-        spec = json.loads(Path(spec).read_text())
+        try:
+            spec = json.loads(Path(spec).read_text())
+        except (OSError, ValueError) as exc:
+            raise ScenarioError(
+                f"cannot read scenario {spec}: {exc}") from None
     if "systems" not in spec or "experiments" not in spec:
         raise ScenarioError("scenario needs 'systems' and 'experiments'")
     t0_wall = _time.perf_counter() if ledger is not None else 0.0
-    executor = _replication_executor(spec, point_log=ledger is not None)
+    executor = _scenario_executor(spec, point_log=ledger is not None)
     results: Dict[str, Any] = {
         "name": spec.get("name", "scenario"),
         "systems": [],
     }
-    if executor is not None:
+    if executor.reps > 1:
         results["replication"] = {
             "reps": executor.reps,
             "ci_width": executor.ci_width,
@@ -246,31 +250,12 @@ def run_scenario(spec: Union[Dict, str, Path], ledger: Any = None) -> Dict:
             entry["experiments"].append(_run_experiment(system, exp,
                                                         executor=executor))
         results["systems"].append(entry)
-    if executor is not None and executor.disagreements:
+    if executor.disagreements:
         results["disagreements"] = [
             d.detail for d in executor.disagreements
         ]
     if ledger is not None:
-        from datetime import datetime, timezone
-
-        from . import compiled
-
-        if executor is not None:
-            for point in executor.point_records:
-                ledger.record_point(
-                    key=point["key"], kind=point["kind"],
-                    system=point["system"], outcome=point["outcome"],
-                    wall_s=point["wall_s"], seed=point["seed"],
-                )
-        ledger.record_run(
-            wall_s=round(_time.perf_counter() - t0_wall, 4),
-            timestamp=datetime.now(timezone.utc).isoformat(
-                timespec="seconds"
-            ),
-            compiled=compiled.active(),
-            reps=executor.reps if executor is not None else 1,
-            cache=executor.stats.to_dict() if executor is not None else {},
-        )
+        ledger.write_run(executor, _time.perf_counter() - t0_wall)
     return results
 
 

@@ -46,20 +46,26 @@ def pytest_collection_modifyitems(config, items):
 
 
 @pytest.fixture(autouse=True)
-def _isolated_ledger(tmp_path_factory, monkeypatch):
-    """Point the default run ledger at a per-test temporary directory.
+def _isolated_outputs(tmp_path_factory, monkeypatch):
+    """Point the default run ledger and point cache at per-test
+    temporary directories.
 
-    Every ledger-writing entry point (the CLI's ``--ledger-dir`` default,
-    ``comb bench`` included) reads
-    :data:`repro.obs.ledger.DEFAULT_LEDGER_DIR` when it runs, so tests
-    exercise the real write path without appending to the working tree's
-    ``results/ledger/ledger.jsonl`` (which ``comb history`` and
-    ``comb compare`` read).
+    Every ledger- or cache-writing entry point (the CLI's
+    ``--ledger-dir`` and ``--cache-dir`` defaults, ``comb bench``
+    included) reads :data:`repro.obs.ledger.DEFAULT_LEDGER_DIR` and
+    :data:`repro.core.executor.DEFAULT_CACHE_DIR` when its parser is
+    built, so tests exercise the real write paths without appending to
+    the working tree's ``results/ledger/ledger.jsonl`` (which ``comb
+    history`` and ``comb compare`` read) or filling its ``.comb_cache/``.
     """
+    from repro.core import executor
     from repro.obs import ledger
 
     monkeypatch.setattr(ledger, "DEFAULT_LEDGER_DIR",
                         tmp_path_factory.mktemp("ledger"))
+    monkeypatch.setattr(executor, "DEFAULT_CACHE_DIR",
+                        str(tmp_path_factory.mktemp("cache")))
+
 
 @pytest.fixture
 def gm():

@@ -216,3 +216,35 @@ class TestParsing:
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestBadPatternAndScenarioInput:
+    """Bad pattern/scenario input is one ``error:`` line and exit 2."""
+
+    SCENARIOS = {
+        "unknown-preset": {"systems": [{"preset": "Nope"}],
+                           "experiments": [{"kind": "polling"}]},
+        "unknown-kind": {"systems": [{"preset": "GM"}],
+                         "experiments": [{"kind": "bogus"}]},
+        "rank-capacity": {"systems": [{"preset": "GM"}],
+                          "experiments": [{"kind": "pattern",
+                                           "topology": "fattree",
+                                           "rank_counts": [100]}]},
+    }
+
+    @pytest.mark.parametrize("case", [
+        "trace-capacity", "unknown-preset", "unknown-kind", "missing-file",
+        "rank-capacity",
+    ])
+    def test_one_line_error(self, case, capsys, tmp_path):
+        if case == "trace-capacity":
+            argv = ["trace", "halo", "--ranks", "100", "--topology",
+                    "fattree", "--out", str(tmp_path / "trace")]
+        else:
+            spec = tmp_path / "spec.json"
+            if case != "missing-file":
+                spec.write_text(json.dumps(self.SCENARIOS[case]))
+            argv = ["scenario", str(spec),
+                    "--ledger-dir", str(tmp_path / "ledger")]
+        assert main(argv) == 2
+        assert _one_line_error(capsys.readouterr().err).startswith("error: ")

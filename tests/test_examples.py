@@ -5,6 +5,7 @@ in a subprocess with arguments chosen for speed where the script accepts
 any.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+SRC = EXAMPLES.parent / "src"
 
 #: script -> (args, expected substrings in stdout)
 CASES = {
@@ -34,11 +36,15 @@ CASES = {
 
 
 @pytest.mark.parametrize("script", sorted(CASES))
-def test_example_runs(script):
+def test_example_runs(script, tmp_path):
     args, expected = CASES[script]
+    # Run from a scratch directory so relative outputs (the default
+    # point cache) stay out of the working tree.
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
     proc = subprocess.run(
         [sys.executable, str(EXAMPLES / script), *args],
-        capture_output=True, text=True, timeout=600,
+        capture_output=True, text=True, timeout=600, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     for needle in expected:

@@ -215,6 +215,25 @@ def test_compare_history_numeric_order(tmp_path):
     assert report.exit_code == 1
 
 
+def test_compare_history_stays_within_its_population(tmp_path):
+    """A compiled record is judged only against compiled records."""
+    def doc(total, compiled):
+        return {**_bench_doc(total, total), "compiled": compiled,
+                "per_decade": 1, "jobs": 1}
+
+    _write(tmp_path / "BENCH_1.json", doc(1.0, False))
+    _write(tmp_path / "BENCH_2.json", doc(1.0, False))
+    _write(tmp_path / "BENCH_3.json", doc(5.0, True))
+    _write(tmp_path / "BENCH_4.json", doc(5.0, True))
+    # One older compiled record: too little history in this population,
+    # although the two pure records would make a (much faster) baseline.
+    assert compare_history(tmp_path) is None
+    _write(tmp_path / "BENCH_5.json", doc(5.0, True))
+    report = compare_history(tmp_path)
+    assert report is not None and report.exit_code == 0
+    assert all(c.n_a == 2 and c.median_a == 5.0 for c in report.comparisons)
+
+
 # ---------------------------------------------------------------- CLI seam
 def test_cli_compare_identical(tmp_path, capsys):
     from repro.cli import main

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.obs.compare import load_samples
 from repro.obs.ledger import (
     LEDGER_SCHEMA_VERSION,
     RunLedger,
@@ -20,7 +21,6 @@ from repro.obs.ledger import (
     history_aggregate,
     ledger_path,
     read_records,
-    run_record_samples,
 )
 
 RUN_META = dict(
@@ -150,16 +150,31 @@ class TestAggregates:
         assert "fig04 wall trend" in text
         assert "2 corrupt lines skipped" in text
 
-    def test_run_record_samples_shape(self, tmp_path):
+    def test_load_samples_reads_ledger_runs(self, tmp_path):
         path = _seed_ledger(tmp_path / "ledger")
-        samples = run_record_samples(path)
-        assert len(samples) == 1
-        # The shape compare.scalar_profile consumes: total_s + figures.
-        assert samples[0]["total_s"] == 2.5
-        assert samples[0]["figures"]["fig04"] == 1.5
+        samples = load_samples(path)
+        # One run record, one sample per metric: total_s + figures.
+        assert samples["total_s"] == [2.5]
+        assert samples["figures.fig04"] == [1.5]
 
 
 # ------------------------------------------------------------------ CLI: runs
+#: A one-point polling scenario that runs in milliseconds.
+QUICK_SCENARIO = {
+    "name": "t",
+    "systems": [{"preset": "GM"}],
+    "experiments": [{"kind": "polling", "msg_kb": 10,
+                     "intervals": [1000],
+                     "config": {"measure_s": 0.002,
+                                "warmup_s": 0.0005,
+                                "min_cycles": 2}}],
+}
+
+#: The fields every run record carries, in the ledger and in BENCH.
+SHARED_RUN_KEYS = {"timestamp", "compiled", "python", "code_salt", "jobs",
+                   "reps", "cache", "total_s", "figures", "claims_ok"}
+
+
 def _figures_argv(tmp_path, *extra):
     return ["figures", "--ids", "fig04", "--per-decade", "1", "--no-cache",
             "--no-plots", "--ledger-dir", str(tmp_path / "ledger"),
@@ -179,6 +194,24 @@ class TestCliLedgerWiring:
         assert runs[0]["points"] == len(points) > 0
         assert all(p["outcome"] == "miss" for p in points)
         assert "fig04" in runs[0]["figures"]
+
+    def test_point_records_carry_their_figure(self, tmp_path, capsys):
+        assert main(["figures", "--ids", "fig12", "--per-decade", "1",
+                     "--no-cache", "--no-plots",
+                     "--ledger-dir", str(tmp_path / "ledger")]) == 0
+        records, _ = read_records(ledger_path(tmp_path / "ledger"))
+        points = [r for r in records if r["rec"] == "point"]
+        assert points and {p["figure"] for p in points} == {"fig12"}
+        capsys.readouterr()
+        assert main(["history", "--ledger-dir", str(tmp_path / "ledger"),
+                     "--figure", "fig12", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["points"] == len(points)
+
+    def test_history_has_no_ledger_opt_out(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["history", "--no-ledger",
+                  "--ledger-dir", str(tmp_path / "ledger")])
 
     def test_no_ledger_opts_out(self, tmp_path, capsys):
         assert main(_figures_argv(tmp_path, "--no-ledger")) == 0
@@ -221,15 +254,7 @@ class TestCliLedgerWiring:
 
     def test_scenario_appends_run_record(self, tmp_path, capsys):
         spec = tmp_path / "s.json"
-        spec.write_text(json.dumps({
-            "name": "t",
-            "systems": [{"preset": "GM"}],
-            "experiments": [{"kind": "polling", "msg_kb": 10,
-                             "intervals": [1000],
-                             "config": {"measure_s": 0.002,
-                                        "warmup_s": 0.0005,
-                                        "min_cycles": 2}}],
-        }))
+        spec.write_text(json.dumps(QUICK_SCENARIO))
         assert main(["scenario", str(spec), "--ledger-dir",
                      str(tmp_path / "ledger")]) == 0
         capsys.readouterr()
@@ -237,10 +262,34 @@ class TestCliLedgerWiring:
         runs = [r for r in records if r["rec"] == "run"]
         assert len(runs) == 1 and runs[0]["cmd"] == "scenario"
 
+    def test_run_records_share_one_schema(self, tmp_path, capsys):
+        ledger_dir = str(tmp_path / "ledger")
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps(QUICK_SCENARIO))
+        assert main(["figures", "--ids", "fig13", "--per-decade", "1",
+                     "--no-cache", "--no-plots",
+                     "--ledger-dir", ledger_dir]) == 0
+        main(["bench", "--ids", "fig13", "--no-cache",
+              "--ledger-dir", ledger_dir,
+              "--out-dir", str(tmp_path / "bench")])
+        assert main(["scenario", str(spec), "--ledger-dir", ledger_dir]) == 0
+        capsys.readouterr()
+        records, _ = read_records(ledger_path(tmp_path / "ledger"))
+        runs = [r for r in records if r["rec"] == "run"]
+        assert [r["cmd"] for r in runs] == ["figures", "bench", "scenario"]
+        bench = json.loads((tmp_path / "bench" / "BENCH_1.json").read_text())
+        for doc in [*runs, bench]:
+            assert SHARED_RUN_KEYS <= set(doc), doc.get("cmd", "BENCH")
+        assert bench["figures"].keys() == runs[1]["figures"].keys()
+        bench_points = [r for r in records if r["rec"] == "point"
+                        and r["run_id"] == runs[1]["run_id"]]
+        assert bench_points
+        assert {p["figure"] for p in bench_points} == {"fig13"}
+
 
 class TestWorkingTreeLedgerIsolation:
-    """The autouse ``_isolated_ledger`` fixture (tests/conftest.py) keeps
-    default-ledger runs out of the working tree."""
+    """The autouse ``_isolated_outputs`` fixture (tests/conftest.py) keeps
+    default-ledger and default-cache runs out of the working tree."""
 
     def test_default_ledger_run_leaves_working_tree_untouched(
             self, tmp_path, capsys):
@@ -266,6 +315,26 @@ class TestWorkingTreeLedgerIsolation:
         records, _ = read_records(
             ledger_path(ledger_mod.DEFAULT_LEDGER_DIR))
         assert [r["cmd"] for r in records if r["rec"] == "run"] == ["figures"]
+
+    def test_default_cache_run_leaves_working_tree_untouched(
+            self, tmp_path, capsys):
+        from pathlib import Path
+
+        from repro.core import executor as executor_mod
+
+        tree_cache = Path.cwd() / ".comb_cache"
+
+        def state():
+            return sorted((str(p), p.stat().st_size, p.stat().st_mtime_ns)
+                          for p in tree_cache.rglob("*"))
+
+        before = state()
+        # No --cache-dir / --no-cache: points go to the default cache.
+        assert main(["figures", "--ids", "fig13", "--per-decade", "1",
+                     "--no-plots", "--no-ledger"]) == 0
+        capsys.readouterr()
+        assert state() == before
+        assert any(Path(executor_mod.DEFAULT_CACHE_DIR).rglob("*.json"))
 
 
 # -------------------------------------------------------- CLI: stream + top
@@ -297,12 +366,17 @@ class TestCliStreamAndTop:
 
 # ----------------------------------------------- CLI: one-line I/O errors
 class TestUnwritableTargets:
-    def test_unwritable_ledger_dir(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["figures", "--ids", "fig04", "--per-decade", "1", "--no-cache",
+         "--no-plots"],
+        ["report", "--per-decade", "1", "--no-cache"],
+        ["bench", "--ids", "fig04", "--no-cache"],
+        ["scenario", "spec.json"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_ledger_dir(self, argv, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file where the ledger dir should be")
-        code = main(["figures", "--ids", "fig04", "--per-decade", "1",
-                     "--no-cache", "--no-plots",
-                     "--ledger-dir", str(blocker / "ledger")])
+        code = main([*argv, "--ledger-dir", str(blocker / "ledger")])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: cannot open run ledger")
