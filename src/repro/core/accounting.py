@@ -2,7 +2,7 @@
 
 The engine counts every heap event it dispatches
 (:attr:`repro.sim.engine.Engine.events_processed`) — the cost model of
-the simulator itself, and the number burst batching and quiescence
+the simulator itself, and the number the NIC fast pump and quiescence
 fast-forward exist to shrink.  Each engine dies with its world, so the
 method runners deposit their final counts here; the sweep executor
 drains the tally into the metrics registry (``sim.events_processed``)

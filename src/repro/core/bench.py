@@ -8,8 +8,8 @@ across PRs; ``comb compare <dir>`` judges the newest record against the
 older ones.
 
 Each record carries total and per-figure wall time, the executor cache
-hit rate, the engine event count (the simulator's own cost model — burst
-batching and quiescence fast-forward exist to shrink it), whether the
+hit rate, the engine event count (the simulator's own cost model — the
+NIC fast pump and quiescence fast-forward exist to shrink it), whether the
 compiled core was active, and optionally a cProfile top table over one
 figure (``profile=...``) so hot-path claims in CHANGES.md are backed by
 recorded evidence.

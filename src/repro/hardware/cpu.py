@@ -376,6 +376,10 @@ class CPU:
                 ev._value = None
                 ev._processed = True
                 ev.callbacks = None
+        if self._kernel_job is not None:
+            # ``fn`` submitted kernel work, which already started the next
+            # queued job: starting another here would double-book the CPU.
+            return
         if self._kernel_queue:
             self._start_next_kernel()
         else:

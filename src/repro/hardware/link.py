@@ -48,9 +48,6 @@ class Link:
         )
         #: Delivery callback, set by whoever sits at the far end.
         self.deliver: Optional[Callable[[Packet], None]] = None
-        #: Receiving NIC (set by the cluster on exclusive two-node routes);
-        #: enables burst batching across this link.
-        self.rx_nic = None
         self.packets_carried = 0
         self.bytes_carried = 0
         self._loss_rate = 0.0

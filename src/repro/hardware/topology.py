@@ -10,8 +10,8 @@ addressed to node ``dst`` arrive at ``dst``'s NIC.  Two models ship:
 * :class:`Crossbar` — the paper's single cut-through switch.  Every pair
   of nodes contends only on the destination's output link; this is the
   seed topology, preserved statement-for-statement so two-node worlds
-  stay bit-identical to the recorded golden values (including the
-  burst-batching fast path, which only arms on exclusive 2-node routes).
+  stay bit-identical to the recorded golden values (including the NIC
+  fast pump, which only arms on exclusive 2-node routes).
 * :class:`FatTree` — a two-level k-ary fat-tree: ``k/2``-host edge
   switches uplinked to ``k/2`` core switches, every inter-switch hop a
   real contended :class:`~repro.hardware.link.Link` plus the cut-through
@@ -83,8 +83,8 @@ class Crossbar(Topology):
     """The paper's single cut-through switch (Myrinet 8-port SAN/LAN).
 
     This is the seed two-node wiring generalized only in name: the
-    construction order, RNG stream names, and the exclusive-route burst
-    fast path (armed solely on untraced two-node worlds) are identical,
+    construction order, RNG stream names, and the exclusive-route fast
+    pump (armed solely on untraced two-node worlds) are identical,
     which the golden-value differential tests pin bit-for-bit.
     """
 
@@ -117,21 +117,14 @@ class Crossbar(Topology):
             cluster.nodes.append(node)
         if n_nodes == 2 and tracer is None and engine.trace is None:
             # Exclusive routes: each wire carries exactly one sender's
-            # traffic, so the NICs can run the event-lean fast pump and
-            # burst-batch multi-fragment messages (see NIC.enable_fast).
-            # Traced runs keep the legacy per-packet path so observer and
-            # sanitizer see the exact per-packet record stream.
-            from ..sim.resources import BurstDomain
-
-            domain = BurstDomain()
+            # traffic, so the NICs can run the event-lean fast pump (see
+            # NIC.enable_fast).  Traced runs keep the legacy per-packet
+            # path so observer and sanitizer see the exact per-packet
+            # record stream.
             routes = {nid: cluster.switch.out_link(nid)
                       for nid in range(n_nodes)}
-            for nid in range(n_nodes):
-                routes[nid].rx_nic = cluster.nodes[nid].nic
-                cluster.nodes[nid].nic.host_bus.domain = domain
-                routes[nid]._pipe.domain = domain
             for node in cluster.nodes:
-                node.nic.enable_fast(cluster.switch, routes, domain)
+                node.nic.enable_fast(cluster.switch, routes)
 
     def describe(self) -> str:
         return "crossbar (single cut-through switch)"

@@ -90,9 +90,10 @@ class HotPathIoRule(FileRule):
                 )
 
 
-#: Modules implementing burst replay / quiescence fast-forward, where
-#: every timestamp must reproduce the legacy per-event float arithmetic
-#: bit for bit (see the commit-chain comments in ``hardware/nic.py``).
+#: Modules computing future instants analytically (the NIC fast pump's
+#: merged emission, ``Pipe.transfer_at_then``, quiescence fast-forward),
+#: where every timestamp must reproduce the legacy per-event float
+#: arithmetic bit for bit.
 BURST_REPLAY_MODULES: FrozenSet[str] = frozenset(
     {
         "hardware/nic.py",

@@ -112,14 +112,29 @@ def _replace_path(obj, parts: List[str], value):
     return dataclasses.replace(obj, **{field: child})
 
 
+def _config(cls, extra: Dict[str, Any], **fields):
+    """Build an experiment's config dataclass from ``fields`` plus the
+    spec's ``config`` object; a field it does not have is a scenario
+    error."""
+    try:
+        return cls(**fields, **extra)
+    except TypeError as exc:
+        raise ScenarioError(f"experiment 'config': {exc}") from None
+
+
 def _run_experiment(
     system: SystemConfig,
     spec: Dict[str, Any],
     executor: SweepExecutor,
 ) -> Dict:
     kind = spec.get("kind")
-    msg_bytes = int(spec.get("msg_kb", 100) * KB)
-    cfg_extra = dict(spec.get("config", {}))
+    msg_kb = spec.get("msg_kb", 100)
+    if isinstance(msg_kb, bool) or not isinstance(msg_kb, (int, float)):
+        raise ScenarioError(f"'msg_kb' must be a number, got {msg_kb!r}")
+    msg_bytes = int(msg_kb * KB)
+    cfg_extra = spec.get("config", {})
+    if not isinstance(cfg_extra, dict):
+        raise ScenarioError("'config' must be an object")
 
     def run_point(point_kind: str, cfg) -> Dict:
         return executor.run_one(PointTask(point_kind, system, cfg)).to_dict()
@@ -127,18 +142,18 @@ def _run_experiment(
     if kind == "polling":
         points = []
         for interval_iters in spec.get("intervals", [10_000]):
-            cfg = PollingConfig(
+            cfg = _config(
+                PollingConfig, cfg_extra,
                 msg_bytes=msg_bytes, poll_interval_iters=int(interval_iters),
-                **cfg_extra,
             )
             points.append(run_point("polling", cfg))
         return {"kind": kind, "points": points}
     if kind == "pww":
         points = []
         for interval_iters in spec.get("intervals", [100_000]):
-            cfg = PwwConfig(
+            cfg = _config(
+                PwwConfig, cfg_extra,
                 msg_bytes=msg_bytes, work_interval_iters=int(interval_iters),
-                **cfg_extra,
             )
             points.append(run_point("pww", cfg))
         return {"kind": kind, "points": points}
@@ -172,12 +187,12 @@ def _run_experiment(
     if kind == "pattern":
         points = []
         for ranks in spec.get("rank_counts", [4]):
-            cfg = PatternConfig(
+            cfg = _config(
+                PatternConfig, cfg_extra,
                 pattern=spec.get("pattern", "halo2d"),
                 ranks=int(ranks),
                 msg_bytes=msg_bytes,
                 topology=spec.get("topology", "crossbar"),
-                **cfg_extra,
             )
             try:
                 check_pattern(system, cfg)

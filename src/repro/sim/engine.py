@@ -49,8 +49,8 @@ class Engine:
         self._active_process: Optional[Process] = None
         self.trace = trace
         #: Heap events dispatched so far — the cost model of the simulator
-        #: itself.  Burst batching exists to shrink this number; the bench
-        #: tooling and the event-count regression tests read it.
+        #: itself.  The NIC fast pump exists to shrink this number; the
+        #: bench tooling and the event-count regression tests read it.
         self.events_processed = 0
 
     # ----------------------------------------------------------------- clock
@@ -120,8 +120,8 @@ class Engine:
 
     def _call_at(self, fn: Callable[[Any], None], arg: Any, when_s: float) -> None:
         """Schedule ``fn(arg)`` at an *absolute* time (no ``now`` + ``delay``
-        round-trip, which costs a ulp the burst path can't afford when
-        reproducing legacy event times exactly)."""
+        round-trip, which costs a ulp the fast pump's merged emission
+        can't afford when reproducing legacy event times exactly)."""
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(self._queue, (when_s, PRIORITY_NORMAL, seq, fn, arg))

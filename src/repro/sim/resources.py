@@ -167,61 +167,6 @@ class Store:
         return list(self._items)
 
 
-class BurstDomain:
-    """The lazy-reservation ledger for one exclusive route group.
-
-    Burst transfers (:mod:`repro.hardware.nic`) reserve pipe occupancy
-    *lazily*: instead of one heap event per fragment, each burst registers a
-    stream of future reservations, and the streams of all linked pipes are
-    merged in reservation-time order whenever real state is needed.  The
-    merge is exact because a stream's next reservation time is either known
-    locally (a transmit chain) or derived from a source fragment with a
-    strictly earlier reservation time (an arrival stream) — so the globally
-    earliest pending reservation is always committable.
-
-    Equal-instant ties replicate the legacy event ordering: the legacy
-    transmit chain always passes through a fresh zero-delay event (the
-    wire-credit grant) before its next bus reservation, while an arrival
-    reserves directly inside its delivery callback — so at any instant an
-    arrival wins the bus over a transmit continuation.  Hence receive
-    streams commit before transmit streams on a time tie, and callers
-    sitting *inside* a delivery callback materialize with ``tx_strict``
-    (transmit reservations at exactly ``t`` are deferred behind them).
-    """
-
-    __slots__ = ("streams", "_seq")
-
-    def __init__(self) -> None:
-        self.streams: List[Any] = []
-        self._seq = 0
-
-    def add(self, stream: Any) -> None:
-        self._seq += 1
-        stream.seq = self._seq
-        self.streams.append(stream)
-
-    def materialize(self, t: float, tx_strict: bool = False) -> None:
-        """Commit every pending reservation with time ``<= t`` (with
-        ``tx_strict``, transmit reservations only strictly ``< t``)."""
-        streams = self.streams
-        while streams:
-            best = None
-            best_key = (0.0, 0, 0)
-            for s in streams:
-                r = s.next_res()
-                if r is None or r > t:
-                    continue
-                if tx_strict and r == t and not s.is_rx:
-                    continue
-                key = (r, 0 if s.is_rx else 1, s.seq)
-                if best is None or key < best_key:
-                    best, best_key = s, key
-            if best is None:
-                return
-            if best.commit_next():
-                streams.remove(best)
-
-
 class Pipe:
     """A serialized transfer stage with fixed per-item setup and byte rate.
 
@@ -261,8 +206,6 @@ class Pipe:
         self.latency_s = float(latency_s)
         self.name = name
         self._busy_until = 0.0
-        #: Lazy-burst ledger shared with route-linked pipes (or ``None``).
-        self.domain: Optional[BurstDomain] = None
         #: Total bytes that have entered the pipe (occupancy accounting).
         self.total_bytes = 0
         self.total_items = 0
@@ -277,13 +220,6 @@ class Pipe:
         if nbytes < 0:
             raise ValueError("negative transfer size")
         now = self.engine._now
-        d = self.domain
-        if d is not None and d.streams:
-            # Pending lazy reservations land before this one (FIFO) — except
-            # transmit reservations at exactly `now`: the legacy chain would
-            # order those *behind* a same-instant direct caller (it reaches
-            # its reservation only after a fresh zero-delay credit event).
-            d.materialize(now, tx_strict=True)
         start = self._busy_until
         if start < now:
             start = now
@@ -337,7 +273,4 @@ class Pipe:
     @property
     def busy_until(self) -> float:
         """Simulation time at which the stage drains (given current queue)."""
-        d = self.domain
-        if d is not None and d.streams:
-            d.materialize(self.engine.now, tx_strict=True)
         return self._busy_until

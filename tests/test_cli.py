@@ -230,11 +230,17 @@ class TestBadPatternAndScenarioInput:
                           "experiments": [{"kind": "pattern",
                                            "topology": "fattree",
                                            "rank_counts": [100]}]},
+        "unknown-config-key": {"systems": [{"preset": "GM"}],
+                               "experiments": [{"kind": "polling",
+                                                "config": {"bogus_key": 1}}]},
+        "non-numeric-msg-kb": {"systems": [{"preset": "GM"}],
+                               "experiments": [{"kind": "polling",
+                                                "msg_kb": "abc"}]},
     }
 
     @pytest.mark.parametrize("case", [
         "trace-capacity", "unknown-preset", "unknown-kind", "missing-file",
-        "rank-capacity",
+        "rank-capacity", "unknown-config-key", "non-numeric-msg-kb",
     ])
     def test_one_line_error(self, case, capsys, tmp_path):
         if case == "trace-capacity":

@@ -102,6 +102,27 @@ class TestKernelPreemption:
         assert order == ["first", "second"]
         assert engine.now == pytest.approx(0.2)
 
+    def test_nested_kernel_work_keeps_fifo_and_conservation(self, engine,
+                                                            cpu):
+        """A completion ``fn`` that submits kernel work while other jobs
+        are queued must not start two jobs at once."""
+        order = []
+
+        def first():
+            order.append(("first", engine.now))
+            cpu.kernel_work(1.0, fn=lambda: order.append(("third",
+                                                         engine.now)))
+
+        cpu.kernel_work(1.0, fn=first)
+        cpu.kernel_work(1.0, fn=lambda: order.append(("second", engine.now)))
+        engine.run()
+        assert order == [("first", 1.0), ("second", 2.0), ("third", 3.0)]
+        snap = cpu.snapshot()
+        assert snap["kernel_s"] == cpu.kernel_time_s == 3.0
+        assert snap["idle_s"] == 0.0
+        assert (snap["user_s"] + snap["kernel_s"] + snap["idle_s"]
+                == cpu.elapsed())
+
     def test_kernel_on_idle_cpu_runs_immediately(self, engine, cpu):
         fired = []
         cpu.kernel_work(0.3, fn=lambda: fired.append(engine.now))

@@ -5,11 +5,11 @@ scattered across the suite (bare-vs-checked in the golden-drift module,
 traced-vs-bare for patterns, …).  Every golden point runs under every
 execution mode and the result dicts are byte-compared pairwise:
 
-* **pure** — the unchecked fast paths (burst pump, quiescence);
+* **pure** — the unchecked fast paths (fast pump, quiescence);
 * **checked** — sanitizer attached, NICs forced onto the legacy
   per-packet path (also asserts zero violations);
 * **traced** — an ambient :class:`Observer` tracing every world, which
-  disarms the two-node burst fast path.
+  disarms the two-node fast pump.
 
 The **compiled** axis is a property of the running process
 (``COMB_COMPILED=1`` with ``repro._simcore`` built): when active, every

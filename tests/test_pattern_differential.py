@@ -58,7 +58,7 @@ class TestFanInDifferential:
 class TestTwoRankPatternDifferential:
     def test_two_rank_halo_identical_across_topology_objects(self, gm):
         # A 2-rank halo on the default crossbar must match a fresh run:
-        # the N-rank pattern path shares the burst fast-path arming logic
+        # the N-rank pattern path shares the fast-pump arming logic
         # with the original two-node wiring, and any divergence between
         # builds would show up as a bitwise difference here.
         from repro.patterns import PatternConfig, run_pattern

@@ -217,8 +217,8 @@ class TestContinuationSlots:
 #: implementation of every converted step dispatched them.  Any change is
 #: a change of the event structure, never noise.
 EVENT_COUNTS = {
-    "GM.polling": (PointTask("polling", gm_system(), POLL_CFG), 1201),
-    "GM.pww": (PointTask("pww", gm_system(), PWW_CFG), 672),
+    "GM.polling": (PointTask("polling", gm_system(), POLL_CFG), 3179),
+    "GM.pww": (PointTask("pww", gm_system(), PWW_CFG), 2208),
     "Portals.polling": (PointTask("polling", portals_system(), POLL_CFG),
                         4270),
     "Portals.pww": (PointTask("pww", portals_system(), PWW_CFG), 5386),

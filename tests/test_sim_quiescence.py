@@ -133,7 +133,7 @@ class TestQuiescentCompute:
 def test_pww_quiescent_equals_legacy_traced():
     """End to end: the PWW dry work phase (the heaviest quiescent-span
     user) must be bit-identical with the fast-forward active (bare) and
-    inactive (traced runs disable the burst pump but keep quiescence —
+    inactive (traced runs disable the fast pump but keep quiescence —
     the jump itself must be exact either way)."""
     cfg = PwwConfig(msg_bytes=64 * 1024, work_interval_iters=2_000_000,
                     batches=4, warmup_batches=1)

@@ -59,7 +59,7 @@ class TestCrossbar:
         default = build_world(gm)
         explicit = build_world(gm, topology=Crossbar())
         assert len(default.cluster.nodes) == len(explicit.cluster.nodes)
-        # Both two-node worlds arm the burst fast path.
+        # Both two-node worlds arm the fast pump.
         assert default.cluster.nodes[0].nic._fast
         assert explicit.cluster.nodes[0].nic._fast
 
