@@ -16,7 +16,6 @@ import dataclasses
 
 from repro import PollingConfig, portals_system
 from repro.core.polling import run_polling
-from repro.ext import build_custom_world
 from repro.hardware.memory import copy_time
 from repro.mpi.world import register_device
 from repro.transport.packets import PacketKind

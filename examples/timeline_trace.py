@@ -12,9 +12,8 @@ Usage::
     python examples/timeline_trace.py
 """
 
-import repro.core.polling as polling
 from repro.config import gm_system, portals_system
-from repro.core.polling import PollingConfig
+from repro.core.polling import PollingConfig, spawn_polling
 from repro.mpi import build_world
 from repro.sim import Monitor, sparkline
 
@@ -38,12 +37,9 @@ def run_with_monitor(system):
                   lambda: dev.stats.bytes_recv_done + dev.stats.bytes_send_done)
     monitor.probe("interrupts", lambda: float(node.irq.count))
 
-    state = polling._WorkerState()
-    worker = engine.spawn(polling._worker(world, cfg, state), name="worker")
-    engine.spawn(polling._support(world, cfg), name="support")
-    engine.run(worker)
+    result = engine.run(spawn_polling(world, cfg))
     monitor.stop()
-    return state.result, monitor
+    return result, monitor
 
 
 def main() -> None:

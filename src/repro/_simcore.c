@@ -1202,9 +1202,6 @@ static PyMethodDef SimEngine_methods[] = {
     {"spawn", (PyCFunction)(void (*)(void))SimEngine_spawn,
      METH_FASTCALL | METH_KEYWORDS,
      PyDoc_STR("Start a new Process running the generator.")},
-    {"process", (PyCFunction)(void (*)(void))SimEngine_spawn,
-     METH_FASTCALL | METH_KEYWORDS,
-     PyDoc_STR("Alias of spawn (SimPy naming).")},
     {"all_of", (PyCFunction)SimEngine_all_of, METH_O,
      PyDoc_STR("Composite event firing when all events have fired.")},
     {"any_of", (PyCFunction)SimEngine_any_of, METH_O,

@@ -120,6 +120,7 @@ from .core import (
     PollingConfig,
     PwwConfig,
     SweepExecutor,
+    drive_polling,
     run_polling,
     run_pww,
 )
@@ -1149,22 +1150,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "profile":
-        import repro.core.polling as polling
-        from .mpi import build_world
-
-        system = get_system(args.system)
         cfg = PollingConfig(
             msg_bytes=int(args.size * 1024),
             poll_interval_iters=args.interval, measure_s=0.03,
         )
-        world = build_world(system)
-        state = polling._WorkerState()
-        worker = world.engine.spawn(
-            polling._worker(world, cfg, state), name="worker"
-        )
-        world.engine.spawn(polling._support(world, cfg), name="support")
-        world.engine.run(worker)
-        pt = state.result
+        world, pt = drive_polling(get_system(args.system), cfg)
         print(f"{pt.system}: bw={pt.bandwidth_MBps:.2f} MB/s, "
               f"availability={pt.availability:.3f}\n")
         for node in world.cluster.nodes:

@@ -12,8 +12,8 @@ from .executor import (
     task_key,
     use_executor,
 )
-from .polling import COMB_TAG, PollingConfig, run_polling
-from .pww import PwwBatch, PwwConfig, run_pww, run_pww_batches
+from .polling import COMB_TAG, PollingConfig, drive_polling, run_polling
+from .pww import PwwBatch, PwwConfig, run_pww
 from .results import PollingPoint, PwwPoint, Series
 from .suite import (
     CombSuite,
@@ -46,6 +46,7 @@ __all__ = [
     "WORK_GRID",
     "current_executor",
     "default_executor",
+    "drive_polling",
     "dry_run_iter_time",
     "log_intervals",
     "polling_sweep",
@@ -54,7 +55,6 @@ __all__ = [
     "pww_tasks",
     "run_polling",
     "run_pww",
-    "run_pww_batches",
     "run_task",
     "task_key",
     "use_executor",

@@ -9,6 +9,10 @@ fast as messages arrive.  Because the worker never blocks, the method
 reports an unfettered trade-off between bandwidth and CPU availability as
 the poll interval varies.
 
+The same driver serves several support peers (one per extra node, see
+:mod:`repro.patterns.fanin`): the worker keeps one queue per peer and
+answers each message to its sender.
+
 Simulation note: runs of *empty* poll cycles (work + negative test) are
 deterministic, so they are aggregated (:mod:`repro.core.quiescence`) into a
 single CPU occupation that
@@ -21,7 +25,7 @@ to message traffic rather than poll frequency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Generator, Iterator, List, Tuple
 
 from ..config import SystemConfig
 from ..mpi.request import Request
@@ -31,6 +35,10 @@ from .accounting import tally_events
 from .quiescence import absorb_empty_cycles
 from .results import PollingPoint
 from .workloop import work_time
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..hardware.topology import Topology
+    from ..sim.process import Process
 
 #: Message tag used by the benchmark streams.
 COMB_TAG = 11
@@ -57,34 +65,48 @@ class PollingConfig:
     min_cycles: int = 6
 
 
-class _WorkerState:
-    """Mutable measurement bookkeeping shared with the driver."""
-
-    def __init__(self) -> None:
-        self.result: Optional[PollingPoint] = None
-
-
 def run_polling(system: SystemConfig, cfg: PollingConfig) -> PollingPoint:
     """Run one polling-method point on a fresh world and return it."""
+    return drive_polling(system, cfg)[1]
+
+
+def drive_polling(
+    system: SystemConfig,
+    cfg: PollingConfig,
+    n_peers: int = 1,
+    topology: "Topology | None" = None,
+) -> Tuple[World, PollingPoint]:
+    """Build a world of one worker (rank 0) and ``n_peers`` support ranks,
+    run the polling method to its measurement window's end, and return
+    the world with the worker's point.
+
+    ``n_peers=1`` on the default crossbar is the paper's two-node method;
+    the world comes back so callers can read its hardware (CPU profiles,
+    counters) after the run.
+    """
     if cfg.poll_interval_iters <= 0:
         raise ValueError("poll interval must be positive")
     if cfg.queue_depth < 1:
         raise ValueError("queue depth must be >= 1")
-    world = build_world(system)
-    state = _WorkerState()
-    worker = world.engine.spawn(
-        _worker(world, cfg, state), name="comb.polling.worker"
-    )
-    world.engine.spawn(_support(world, cfg), name="comb.polling.support")
-    world.engine.run(worker)
+    world = build_world(system, n_nodes=n_peers + 1, topology=topology)
+    point: PollingPoint = world.engine.run(spawn_polling(world, cfg))
     tally_events(world.engine.events_processed)
-    assert state.result is not None
-    return state.result
+    return world, point
+
+
+def spawn_polling(world: World, cfg: PollingConfig) -> "Process":
+    """Start the worker on rank 0 and a support process on every other
+    rank; the returned worker process's value is the measured point."""
+    engine = world.engine
+    worker = engine.spawn(_worker(world, cfg), name="comb.polling.worker")
+    for rank in range(1, world.size):
+        engine.spawn(_support(world, cfg, rank), name="comb.polling.support")
+    return worker
 
 
 def _worker(
-    world: World, cfg: PollingConfig, state: _WorkerState
-) -> Iterator[object]:
+    world: World, cfg: PollingConfig
+) -> Generator[object, Any, PollingPoint]:
     engine = world.engine
     system = world.system
     node = world.cluster[0]
@@ -105,12 +127,17 @@ def _worker(
     cycle_s = work_s + empty_poll_s
 
     # ------------------------------------------------------------- pipeline
+    # One flat list of receives across every peer's queue; ``peers[i]``
+    # is the rank slot ``i`` receives from (and answers).
     recv_reqs: List[Request] = []
-    for _ in range(cfg.queue_depth):
-        r = yield from h.irecv(src=1, nbytes=cfg.msg_bytes, tag=COMB_TAG)
-        recv_reqs.append(r)
-    for _ in range(cfg.queue_depth):
-        yield from h.isend(1, cfg.msg_bytes, tag=COMB_TAG)
+    peers: List[int] = []
+    for peer in range(1, world.size):
+        for _ in range(cfg.queue_depth):
+            r = yield from h.irecv(src=peer, nbytes=cfg.msg_bytes, tag=COMB_TAG)
+            recv_reqs.append(r)
+            peers.append(peer)
+        for _ in range(cfg.queue_depth):
+            yield from h.isend(peer, cfg.msg_bytes, tag=COMB_TAG)
 
     # ----------------------------------------------------------- main loop
     iters_done = 0.0
@@ -137,9 +164,10 @@ def _worker(
         if done_idx:
             for i in done_idx:
                 # Answer each arrived message and replace the receive.
-                yield from h.isend(1, cfg.msg_bytes, tag=COMB_TAG)
+                peer = peers[i]
+                yield from h.isend(peer, cfg.msg_bytes, tag=COMB_TAG)
                 recv_reqs[i] = yield from h.irecv(
-                    src=1, nbytes=cfg.msg_bytes, tag=COMB_TAG
+                    src=peer, nbytes=cfg.msg_bytes, tag=COMB_TAG
                 )
         elif not dev.has_work() and not any(r.done for r in recv_reqs):
             # Nothing to do until the device signals: spin through whole
@@ -184,7 +212,7 @@ def _worker(
                       polls - polls_start, empty_poll_s))
     delta = dev.stats.delta(stats_start)
     payload = delta.bytes_send_done + delta.bytes_recv_done
-    state.result = PollingPoint(
+    return PollingPoint(
         system=system.name,
         msg_bytes=cfg.msg_bytes,
         poll_interval_iters=p_iters,
@@ -198,10 +226,10 @@ def _worker(
     )
 
 
-def _support(world: World, cfg: PollingConfig) -> Iterator[object]:
-    """The support process: pure message passing, replies immediately."""
-    ctx = world.cluster[1].new_context("comb.support")
-    h = world.endpoint(1).bind(ctx)
+def _support(world: World, cfg: PollingConfig, rank: int) -> Iterator[object]:
+    """A support process: pure message passing, replies immediately."""
+    ctx = world.cluster[rank].new_context("comb.support")
+    h = world.endpoint(rank).bind(ctx)
     recv_reqs: List[Request] = []
     for _ in range(cfg.queue_depth):
         r = yield from h.irecv(src=0, nbytes=cfg.msg_bytes, tag=COMB_TAG)

@@ -19,8 +19,8 @@ Variants (paper §4.3):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Any, Generator, Iterator, List
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from ..mpi.world import World, build_world
 from .accounting import tally_events
 from .quiescence import quiescent_compute
 from .results import PwwPoint
-from .workloop import work_time
 
 #: Message tag used by the benchmark streams.
 COMB_TAG = 12
@@ -69,12 +68,6 @@ class PwwBatch:
     wait_s: float
 
 
-class _PwwState:
-    def __init__(self) -> None:
-        self.result: Optional[PwwPoint] = None
-        self.batches: List[PwwBatch] = []
-
-
 def run_pww(system: SystemConfig, cfg: PwwConfig) -> PwwPoint:
     """Run one PWW point on a fresh world and return it."""
     if cfg.work_interval_iters < 0:
@@ -84,28 +77,16 @@ def run_pww(system: SystemConfig, cfg: PwwConfig) -> PwwPoint:
     if not (0.0 <= cfg.test_at_frac <= 1.0):
         raise ValueError("test_at_frac must be within [0, 1]")
     world = build_world(system)
-    state = _PwwState()
-    worker = world.engine.spawn(_worker(world, cfg, state), name="comb.pww.worker")
+    worker = world.engine.spawn(_worker(world, cfg), name="comb.pww.worker")
     world.engine.spawn(_support(world, cfg), name="comb.pww.support")
-    world.engine.run(worker)
+    point: PwwPoint = world.engine.run(worker)
     tally_events(world.engine.events_processed)
-    assert state.result is not None
-    return state.result
-
-
-def run_pww_batches(system: SystemConfig, cfg: PwwConfig) -> List[PwwBatch]:
-    """Like :func:`run_pww` but returning the per-batch phase records."""
-    world = build_world(system)
-    state = _PwwState()
-    worker = world.engine.spawn(_worker(world, cfg, state), name="comb.pww.worker")
-    world.engine.spawn(_support(world, cfg), name="comb.pww.support")
-    world.engine.run(worker)
-    return state.batches
+    return point
 
 
 def _worker(
-    world: World, cfg: PwwConfig, state: _PwwState
-) -> Iterator[object]:
+    world: World, cfg: PwwConfig
+) -> Generator[object, Any, PwwPoint]:
     engine = world.engine
     system = world.system
     node = world.cluster[0]
@@ -183,8 +164,7 @@ def _worker(
     elapsed_s = engine.now - t_meas_start_s
     delta = h.device.stats.delta(stats_start)
     payload = delta.bytes_send_done + delta.bytes_recv_done
-    state.batches = measured
-    state.result = PwwPoint(
+    return PwwPoint(
         system=system.name,
         msg_bytes=cfg.msg_bytes,
         work_interval_iters=cfg.work_interval_iters,

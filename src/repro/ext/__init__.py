@@ -4,7 +4,6 @@ from .emp import EmpDevice, emp_system
 from .smp import SmpAvailability, run_smp_polling, smp_system
 from .whatif import (
     OffloadNicDevice,
-    build_custom_world,
     coalesced_portals,
     offload_nic_system,
 )
@@ -13,7 +12,6 @@ __all__ = [
     "EmpDevice",
     "OffloadNicDevice",
     "SmpAvailability",
-    "build_custom_world",
     "coalesced_portals",
     "emp_system",
     "offload_nic_system",

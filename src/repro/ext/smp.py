@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import List
 
 from ..config import SystemConfig
-from ..core.polling import COMB_TAG, PollingConfig, _support, _worker, _WorkerState
+from ..core.polling import PollingConfig, spawn_polling
 from ..mpi.world import build_world
 
 
@@ -54,9 +54,7 @@ def run_smp_polling(system: SystemConfig, cfg: PollingConfig) -> SmpAvailability
     node0 = world.cluster[0]
     iter_s = system.machine.cpu.work_iter_s
 
-    state = _WorkerState()
-    worker = engine.spawn(_worker(world, cfg, state), name="smp.worker")
-    engine.spawn(_support(world, cfg), name="smp.support")
+    worker = spawn_polling(world, cfg)
 
     # One measured load per extra CPU; plus a probe sharing CPU 0.
     loads = {}
@@ -75,12 +73,11 @@ def run_smp_polling(system: SystemConfig, cfg: PollingConfig) -> SmpAvailability
         engine.spawn(load(i), name=f"smp.load{i}")
         for i in range(1, system.cpus_per_node)
     ]
-    engine.run(worker)
+    pt = engine.run(worker)
     # Let each load finish its current chunk and record its figure.
     for proc in load_procs:
         engine.run(proc)
 
-    pt = state.result
     # CPU 0's independent availability equals the worker's own measurement
     # (it shares the processor with the interrupt stream).
     per_cpu = [pt.availability] + [loads[i] for i in sorted(loads)]

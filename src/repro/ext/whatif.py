@@ -6,24 +6,21 @@ These exercise the simulator beyond the paper's two measured systems:
 * :class:`OffloadNicDevice` / :func:`offload_nic_system` — an idealized
   NIC that performs matching and delivery with *no* host interrupts (the
   direction Quadrics/Elan and later RDMA NICs took): full application
-  offload *and* GM-class CPU availability;
-* :func:`build_custom_world` — a world builder accepting any device class,
-  the extension hook custom transports plug into.
+  offload *and* GM-class CPU availability.
+
+Custom transports plug in through
+:func:`repro.mpi.world.register_device`: the registered device class
+serves every world built for its system name, so the unmodified drivers
+run on it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Type
 
-from ..config import InterruptConfig, SystemConfig, portals_system
-from ..hardware.cluster import Cluster
-from ..hardware.memory import copy_time
-from ..mpi.api import Endpoint
-from ..mpi.world import World, register_device
-from ..sim.engine import Engine
+from ..config import SystemConfig, portals_system
+from ..mpi.world import register_device
 from ..sim.units import usec
-from ..transport.base import Device
 from ..transport.packets import Packet, PacketKind
 from ..transport.portals import PortalsDevice
 
@@ -87,29 +84,3 @@ def offload_nic_system() -> SystemConfig:
     system = dataclasses.replace(base, name="OffloadNIC", portals=portals)
     register_device(system.name, OffloadNicDevice)
     return system
-
-
-def build_custom_world(
-    system: SystemConfig,
-    device_cls: Type[Device],
-    n_nodes: int = 2,
-    tracer=None,
-) -> World:
-    """Like :func:`repro.mpi.world.build_world` but with any device class.
-
-    This is the supported way to plug a custom transport into COMB: write a
-    :class:`~repro.transport.base.Device` subclass, build a world with it,
-    and run the unmodified benchmark methods on top.
-    """
-    engine = Engine(trace=tracer)
-    cluster = Cluster(engine, system, n_nodes=n_nodes, tracer=tracer)
-    devices: List[Device] = [
-        device_cls(engine, cluster[i], i, system) for i in range(n_nodes)
-    ]
-    routes: Dict[int, int] = {rank: rank for rank in range(n_nodes)}
-    for dev in devices:
-        dev.routes = dict(routes)
-    endpoints = [
-        Endpoint(engine, dev, rank, n_nodes) for rank, dev in enumerate(devices)
-    ]
-    return World(engine, system, cluster, endpoints, tracer)

@@ -7,7 +7,6 @@ from typing import List, Optional
 from ..config import SystemConfig
 from ..sim.engine import Engine
 from ..sim.rng import RngRegistry
-from ..sim.trace import Tracer
 from .node import Node
 from .switch import Switch
 from .topology import Crossbar, Topology
@@ -27,14 +26,12 @@ class Cluster:
         engine: Engine,
         system: SystemConfig,
         n_nodes: int = 2,
-        tracer: Optional[Tracer] = None,
         topology: Optional[Topology] = None,
     ):
         if n_nodes < 2:
             raise ValueError("a cluster needs at least two nodes")
         self.engine = engine
         self.system = system
-        self.tracer = tracer
         self.rng = RngRegistry(system.seed)
         self.topology = topology if topology is not None else Crossbar()
         #: The crossbar's switch (``None`` on multi-switch topologies).

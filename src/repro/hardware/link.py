@@ -37,12 +37,12 @@ class Link:
         latency_s: float,
         header_bytes: int,
         name: str = "link",
-        tracer=None,
     ):
         self.engine = engine
         self.header_bytes = header_bytes
         self.name = name
-        self.tracer = tracer
+        # Tracer seam: the engine's, fixed for the engine's lifetime.
+        self.trace = engine.trace
         self._pipe = Pipe(
             engine, bandwidth_Bps=bandwidth_Bps, latency_s=latency_s, name=name
         )
@@ -71,9 +71,9 @@ class Link:
         self.packets_carried += 1
         self.bytes_carried += nbytes
         self._pipe.transfer_then(nbytes, self._on_delivered, packet)
-        if self.tracer is not None:
-            self.tracer.record(self.engine.now, self.name, "wire_tx",
-                               (packet.kind.value, packet.msg_id, packet.index))
+        if self.trace is not None:
+            self.trace.record(self.engine.now, self.name, "wire_tx",
+                              (packet.kind.value, packet.msg_id, packet.index))
 
     def _on_delivered(self, packet: Packet) -> None:
         if (
@@ -83,14 +83,14 @@ class Link:
         ):
             # The packet occupied the wire but arrives corrupt: dropped.
             self.packets_dropped += 1
-            if self.tracer is not None:
-                self.tracer.record(self.engine.now, self.name, "wire_drop",
-                                   (packet.kind.value, packet.msg_id,
-                                    packet.index))
+            if self.trace is not None:
+                self.trace.record(self.engine.now, self.name, "wire_drop",
+                                  (packet.kind.value, packet.msg_id,
+                                   packet.index))
             return
-        if self.tracer is not None:
-            self.tracer.record(self.engine.now, self.name, "wire_rx",
-                               (packet.kind.value, packet.msg_id, packet.index))
+        if self.trace is not None:
+            self.trace.record(self.engine.now, self.name, "wire_rx",
+                              (packet.kind.value, packet.msg_id, packet.index))
         self.deliver(packet)
 
     @property

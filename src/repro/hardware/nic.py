@@ -77,13 +77,13 @@ class NIC:
         config: NicConfig,
         node_id: int,
         name: str = "",
-        tracer=None,
     ):
         self.engine = engine
         self.config = config
         self.node_id = node_id
         self.name = name or f"node{node_id}.nic"
-        self.tracer = tracer
+        # Tracer seam: the engine's, fixed for the engine's lifetime.
+        self.trace = engine.trace
         #: Shared host DMA pipe (PCI): transmit and receive contend here.
         self.host_bus = Pipe(
             engine,
@@ -132,7 +132,7 @@ class NIC:
         (DMA out, pump hop, wire delivery, receiver DMA) instead of six.
         """
         cfg = self.config
-        if self.tracer is not None or self.engine.trace is not None:
+        if self.trace is not None:
             return
         if cfg.dma_setup_s <= 0.0:
             return
@@ -282,9 +282,9 @@ class NIC:
         job = self._tx_job
         pkt = job.packets[self._tx_i]
         self.tx_packets += 1
-        if self.tracer is not None:
-            self.tracer.record(self.engine.now, self.name, "packet_tx",
-                               (pkt.kind.value, pkt.msg_id, pkt.index))
+        if self.trace is not None:
+            self.trace.record(self.engine.now, self.name, "packet_tx",
+                              (pkt.kind.value, pkt.msg_id, pkt.index))
         self.engine._call(self._emit, pkt, self.config.nic_processing_s)
         self._tx_i += 1
         if self._tx_i < len(job.packets):
@@ -313,11 +313,11 @@ class NIC:
         self.rx_packets += 1
         if self.rx_handler is None:
             raise RuntimeError(f"{self.name}: no transport attached")
-        if self.tracer is not None:
+        if self.trace is not None:
             # One record per *delivery attempt*: the conservation monitor
             # counts these to catch duplicated packets.
-            self.tracer.record(self.engine.now, self.name, "nic_rx",
-                               (packet.kind.value, packet.msg_id, packet.index))
+            self.trace.record(self.engine.now, self.name, "nic_rx",
+                              (packet.kind.value, packet.msg_id, packet.index))
         if packet.kind is PacketKind.DATA:
             self.host_bus.transfer_then(
                 packet.wire_bytes(self.config.header_bytes), self._rx_done,

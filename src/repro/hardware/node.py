@@ -19,12 +19,10 @@ class Node:
     are routed to CPU 0, as on the era's uniprocessor-interrupt Linux.
     """
 
-    def __init__(self, engine: Engine, system: SystemConfig, node_id: int,
-                 tracer=None):
+    def __init__(self, engine: Engine, system: SystemConfig, node_id: int):
         self.engine = engine
         self.system = system
         self.node_id = node_id
-        self.tracer = tracer
         self.cpus: List[CPU] = [
             CPU(engine, system.machine.cpu, name=f"node{node_id}.cpu{i}")
             for i in range(system.cpus_per_node)
@@ -32,10 +30,8 @@ class Node:
         self.irq = InterruptController(
             self.cpus[0], system.machine.irq, name=f"node{node_id}.irq"
         )
-        self.nic = NIC(
-            engine, system.machine.nic, node_id,
-            name=f"node{node_id}.nic", tracer=tracer,
-        )
+        self.nic = NIC(engine, system.machine.nic, node_id,
+                       name=f"node{node_id}.nic")
         #: The transport instance bound to this node (set by the builder).
         self.transport = None
 

@@ -30,13 +30,11 @@ class Switch:
         config: SwitchConfig,
         nic_config: NicConfig,
         name: str = "switch",
-        tracer=None,
     ):
         self.engine = engine
         self.config = config
         self.nic_config = nic_config
         self.name = name
-        self.tracer = tracer
         #: node id -> output link towards that node.
         self._out: Dict[int, Link] = {}
         self.packets_forwarded = 0
@@ -55,7 +53,6 @@ class Switch:
             latency_s=self.nic_config.wire_latency_s,
             header_bytes=self.nic_config.header_bytes,
             name=f"{self.name}.out{node_id}",
-            tracer=self.tracer,
         )
         link.deliver = deliver
         self._out[node_id] = link

@@ -96,18 +96,15 @@ class Crossbar(Topology):
     def wire(self, cluster: "Cluster", n_nodes: int) -> None:
         engine = cluster.engine
         system = cluster.system
-        tracer = cluster.tracer
         if n_nodes > system.machine.switch.ports:
             raise ValueError(
                 f"{n_nodes} nodes exceed the switch's "
                 f"{system.machine.switch.ports} ports"
             )
-        cluster.switch = Switch(
-            engine, system.machine.switch, system.machine.nic, tracer=tracer
-        )
+        cluster.switch = Switch(engine, system.machine.switch, system.machine.nic)
         loss = system.machine.fault.data_loss_rate
         for nid in range(n_nodes):
-            node = Node(engine, system, nid, tracer=tracer)
+            node = Node(engine, system, nid)
             node.nic.uplink = cluster.switch.ingress
             cluster.switch.attach(nid, node.nic.deliver)
             if loss > 0.0:
@@ -115,7 +112,7 @@ class Crossbar(Topology):
                     loss, cluster.rng.stream(f"loss.link{nid}")
                 )
             cluster.nodes.append(node)
-        if n_nodes == 2 and tracer is None and engine.trace is None:
+        if n_nodes == 2 and engine.trace is None:
             # Exclusive routes: each wire carries exactly one sender's
             # traffic, so the NICs can run the event-lean fast pump (see
             # NIC.enable_fast).  Traced runs keep the legacy per-packet
@@ -148,13 +145,11 @@ class TreeSwitch:
         config: SwitchConfig,
         nic_config: NicConfig,
         name: str,
-        tracer=None,
     ):
         self.engine = engine
         self.config = config
         self.nic_config = nic_config
         self.name = name
-        self.tracer = tracer
         #: port key -> output link.
         self._ports: Dict[str, Link] = {}
         #: destination node id -> port key.
@@ -175,7 +170,6 @@ class TreeSwitch:
             latency_s=self.nic_config.wire_latency_s,
             header_bytes=self.nic_config.header_bytes,
             name=f"{self.name}.{key}",
-            tracer=self.tracer,
         )
         link.deliver = deliver
         self._ports[key] = link
@@ -259,7 +253,6 @@ class FatTree(Topology):
     def wire(self, cluster: "Cluster", n_nodes: int) -> None:
         engine = cluster.engine
         system = cluster.system
-        tracer = cluster.tracer
         k = self._k(system)
         hosts_per_edge = k // 2
         n_core = k // 2
@@ -271,21 +264,17 @@ class FatTree(Topology):
         n_edge = -(-n_nodes // hosts_per_edge)  # ceil division
         sw_cfg = system.machine.switch
         nic_cfg = system.machine.nic
-        self.edges = [
-            TreeSwitch(engine, sw_cfg, nic_cfg, f"edge{e}", tracer=tracer)
-            for e in range(n_edge)
-        ]
-        self.cores = [
-            TreeSwitch(engine, sw_cfg, nic_cfg, f"core{c}", tracer=tracer)
-            for c in range(n_core)
-        ]
+        self.edges = [TreeSwitch(engine, sw_cfg, nic_cfg, f"edge{e}")
+                      for e in range(n_edge)]
+        self.cores = [TreeSwitch(engine, sw_cfg, nic_cfg, f"core{c}")
+                      for c in range(n_core)]
 
         # Hosts: NIC uplinks inject at the owning edge switch; the edge's
         # host-facing down link is where wire loss is injected (same RNG
         # stream names and draw order as the crossbar).
         loss = system.machine.fault.data_loss_rate
         for nid in range(n_nodes):
-            node = Node(engine, system, nid, tracer=tracer)
+            node = Node(engine, system, nid)
             edge = self.edges[nid // hosts_per_edge]
             node.nic.uplink = edge.ingress
             link = edge.add_port(f"host{nid}", node.nic.deliver)

@@ -103,8 +103,7 @@ def build_world(
     from ..obs.live import attach_engine_probe
 
     attach_engine_probe(engine)
-    cluster = Cluster(engine, system, n_nodes=n_nodes, tracer=tracer,
-                      topology=topology)
+    cluster = Cluster(engine, system, n_nodes=n_nodes, topology=topology)
     devices = [
         make_device(engine, cluster[i], i, system) for i in range(n_nodes)
     ]

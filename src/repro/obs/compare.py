@@ -37,8 +37,9 @@ DEFAULT_MIN_RECORDS = 2
 #: Seed for the bootstrap RNG (fixed: comparisons must be reproducible).
 BOOTSTRAP_SEED = 20260806
 #: Run-record fields that define a population: history mode judges a
-#: record only against older records that agree on all of them.
-STRATUM_KEYS = ("compiled", "per_decade", "jobs")
+#: record only against older records that agree on all of them and on
+#: the set of figures timed (see :func:`_stratum`).
+STRATUM_KEYS = ("compiled", "per_decade", "jobs", "python")
 
 
 def scalar_profile(doc: Dict[str, object]) -> Dict[str, float]:
@@ -309,8 +310,13 @@ def compare_paths(
 
 
 def _stratum(doc: Dict[str, object]) -> Tuple[object, ...]:
-    """The population a run record belongs to (:data:`STRATUM_KEYS`)."""
-    return tuple(doc.get(key) for key in STRATUM_KEYS)
+    """The population a run record belongs to: :data:`STRATUM_KEYS` plus
+    the sorted ids of the figures it timed.  The id set matters because
+    figures share memoised points: a figure timed alone simulates points
+    that a full-suite run finds already cached by an earlier figure."""
+    figures = doc.get("figures")
+    ids = tuple(sorted(figures)) if isinstance(figures, dict) else None
+    return (*(doc.get(key) for key in STRATUM_KEYS), ids)
 
 
 def compare_history(
@@ -322,8 +328,9 @@ def compare_history(
     of its own population.
 
     The baseline is the older records whose stratum (compiled kernel,
-    grid resolution, job count; :data:`STRATUM_KEYS`) equals the newest
-    record's: a compiled run is never judged against pure ones.
+    grid resolution, job count, Python version and figure-id set; see
+    :func:`_stratum`) equals the newest record's: a compiled run is never
+    judged against pure ones, nor a two-figure run against the suite.
     Returns ``None`` when fewer than ``min_records`` older records match
     — callers should *skip cleanly* (exit 0), which is what the CI
     sentinel job does while the committed trajectory is still short.

@@ -1,21 +1,16 @@
 """Deterministic discrete-event simulation kernel.
 
 The kernel is deliberately small: events, generator processes, a heap-driven
-engine, and a handful of resource primitives.  Everything above it (CPUs,
+engine, and the capacity :class:`Pipe`.  Everything above it (CPUs,
 NICs, MPI) is built from these pieces.
 """
 
 from .engine import Engine, INFINITY
-from .errors import (
-    EmptySchedule,
-    ProcessInterrupt,
-    SimulationError,
-    StopProcess,
-)
+from .errors import EmptySchedule, SimulationError, StopProcess
 from .events import AllOf, AnyOf, Condition, Event, Timeout
 from .monitor import Monitor, TimeSeries, sparkline
 from .process import Process
-from .resources import Pipe, Request, Resource, Store
+from .resources import Pipe
 from .rng import RngRegistry
 from .trace import TraceRecord, Tracer
 
@@ -30,13 +25,9 @@ __all__ = [
     "Monitor",
     "Pipe",
     "Process",
-    "ProcessInterrupt",
-    "Request",
-    "Resource",
     "RngRegistry",
     "SimulationError",
     "StopProcess",
-    "Store",
     "TimeSeries",
     "Timeout",
     "sparkline",

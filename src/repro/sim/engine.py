@@ -77,9 +77,6 @@ class Engine:
         """Start a new :class:`Process` running ``generator``."""
         return Process(self, generator, name=name)
 
-    # Alias matching SimPy naming, convenient for readers used to it.
-    process = spawn
-
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Composite event firing when all ``events`` have fired."""
         return AllOf(self, events)

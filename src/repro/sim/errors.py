@@ -21,17 +21,3 @@ class StopProcess(SimulationError):
     def __init__(self, value=None):
         super().__init__(value)
         self.value = value
-
-
-class ProcessInterrupt(SimulationError):
-    """Thrown into a process generator by :meth:`Process.interrupt`.
-
-    Attributes
-    ----------
-    cause:
-        Arbitrary object describing why the process was interrupted.
-    """
-
-    def __init__(self, cause=None):
-        super().__init__(cause)
-        self.cause = cause

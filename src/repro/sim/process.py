@@ -8,9 +8,9 @@ processes can wait on each other directly.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator
 
-from .errors import ProcessInterrupt, SimulationError, StopProcess
+from .errors import SimulationError, StopProcess
 from .events import Event, PRIORITY_URGENT
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -27,7 +27,7 @@ class Process(Event):
     that escapes the generator.
     """
 
-    __slots__ = ("generator", "name", "_target")
+    __slots__ = ("generator", "name")
 
     def __init__(self, engine: "Engine", generator: ProcessGenerator, name: str = ""):
         if not hasattr(generator, "throw"):
@@ -36,9 +36,6 @@ class Process(Event):
         self.generator = generator
         #: Human-readable label used in traces.
         self.name = name or getattr(generator, "__name__", "process")
-        #: The event this process is currently waiting on (``None`` if the
-        #: process is being resumed right now or has finished).
-        self._target: Optional[Event] = None
         # Kick off the process at the current simulation time.
         init = Event(engine)
         init._ok = True
@@ -52,36 +49,9 @@ class Process(Event):
         """``True`` while the generator has not finished."""
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`ProcessInterrupt` into the process.
-
-        The interrupt is delivered as an urgent event at the current time.
-        Interrupting a finished process is an error; interrupting a process
-        about to be resumed in the same step is allowed and wins.
-        """
-        if self.triggered:
-            raise SimulationError(f"{self.name} has terminated; cannot interrupt")
-        if self._target is not None and self in (self._target.callbacks or ()):
-            # Detach from the waited-on event: the interrupt supersedes it.
-            pass  # actual detach happens in _resume via the interrupt event
-        interrupt_ev = Event(self.engine)
-        interrupt_ev._ok = False
-        interrupt_ev._value = ProcessInterrupt(cause)
-        interrupt_ev._defused = True
-        interrupt_ev.callbacks.append(self._resume)
-        self.engine._enqueue(interrupt_ev, PRIORITY_URGENT)
-
     # --------------------------------------------------------------- internal
     def _resume(self, event: Event) -> None:
         """Send ``event``'s outcome into the generator and rearm."""
-        if self.triggered:
-            return  # already finished (e.g. interrupt raced with completion)
-        # If we were waiting on a different event, stop listening to it.
-        if self._target is not None and self._target is not event:
-            cbs = self._target.callbacks
-            if cbs is not None and self._resume in cbs:
-                cbs.remove(self._resume)
-        self._target = None
         self.engine._active_process = self
         try:
             while True:
@@ -123,7 +93,6 @@ class Process(Event):
                     event = target
                     continue
                 target.callbacks.append(self._resume)
-                self._target = target
                 return
         finally:
             self.engine._active_process = None

@@ -1,170 +1,15 @@
-"""Shared-resource primitives: FIFO resources, stores, and capacity pipes.
+"""The capacity pipe: the hardware layer's one contention primitive.
 
-These model contention points in the hardware layer: a DMA engine, a wire,
-a switch port.  All queueing is FIFO (optionally priority-ordered), which
-keeps runs deterministic.
+A :class:`Pipe` models a DMA engine, a wire or a bus.  Transfers queue
+FIFO, which keeps runs deterministic.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional, Tuple
-
-from .errors import SimulationError
-from .events import Event
+from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Engine
-
-
-class Request(Event):
-    """Event granted when a :class:`Resource` slot becomes available.
-
-    Use as a context value: hold it, then pass it to :meth:`Resource.release`.
-    """
-
-    __slots__ = ("resource", "priority", "_order")
-
-    def __init__(self, resource: "Resource", priority: int):
-        super().__init__(resource.engine)
-        self.resource = resource
-        self.priority = priority
-        self._order = resource._next_order()
-
-    def cancel(self) -> None:
-        """Withdraw an ungranted request (no-op if already granted)."""
-        self.resource._cancel(self)
-
-
-class Resource:
-    """A resource with ``capacity`` identical slots and a FIFO/priority queue.
-
-    Lower ``priority`` values are served first; ties are FIFO.
-    """
-
-    def __init__(self, engine: "Engine", capacity: int = 1, name: str = ""):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.engine = engine
-        self.capacity = capacity
-        self.name = name
-        self._users: List[Request] = []
-        # Two waiting lanes: the overwhelmingly common constant-priority
-        # (0) case rides a plain FIFO deque; any other priority falls back
-        # to the heap.  Grant order merges the two by (priority, order), so
-        # semantics are identical to a single priority heap.
-        self._waiting: List[Tuple[int, int, Request]] = []
-        self._fifo: Deque[Request] = deque()
-        self._order = 0
-
-    def _next_order(self) -> int:
-        self._order += 1
-        return self._order
-
-    @property
-    def count(self) -> int:
-        """Number of slots currently held."""
-        return len(self._users)
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._waiting) + len(self._fifo)
-
-    def request(self, priority: int = 0) -> Request:
-        """Ask for a slot; the returned event fires when granted."""
-        req = Request(self, priority)
-        if len(self._users) < self.capacity and not self._waiting and not self._fifo:
-            self._users.append(req)
-            req.succeed(req)
-        elif priority == 0:
-            self._fifo.append(req)
-        else:
-            heapq.heappush(self._waiting, (priority, req._order, req))
-        return req
-
-    def release(self, request: Request) -> None:
-        """Return a previously granted slot."""
-        try:
-            self._users.remove(request)
-        except ValueError:
-            raise SimulationError("releasing a request that does not hold a slot")
-        self._grant_next()
-
-    def _cancel(self, request: Request) -> None:
-        try:
-            self._fifo.remove(request)
-            return
-        except ValueError:
-            pass
-        self._waiting = [(p, o, r) for (p, o, r) in self._waiting if r is not request]
-        heapq.heapify(self._waiting)
-
-    def _pop_next(self) -> Optional[Request]:
-        if self._fifo and (
-            not self._waiting
-            or (0, self._fifo[0]._order) < self._waiting[0][:2]
-        ):
-            return self._fifo.popleft()
-        if self._waiting:
-            return heapq.heappop(self._waiting)[2]
-        return None
-
-    def _grant_next(self) -> None:
-        while len(self._users) < self.capacity:
-            req = self._pop_next()
-            if req is None:
-                return
-            if req.triggered:  # cancelled/failed elsewhere
-                continue
-            self._users.append(req)
-            req.succeed(req)
-
-
-class Store:
-    """An unbounded FIFO queue of items with event-based ``get``.
-
-    ``put`` never blocks; ``get`` returns an event that fires with the next
-    item (immediately if one is waiting).
-    """
-
-    def __init__(self, engine: "Engine", name: str = ""):
-        self.engine = engine
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Append ``item``; wakes the oldest waiting getter, if any."""
-        while self._getters:
-            getter = self._getters.popleft()
-            if not getter.triggered:
-                getter.succeed(item)
-                return
-        self._items.append(item)
-
-    def get(self) -> Event:
-        """Event firing with the next available item (FIFO)."""
-        ev = Event(self.engine)
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def try_get(self) -> Tuple[bool, Any]:
-        """Non-blocking pop: ``(True, item)`` or ``(False, None)``."""
-        if self._items:
-            return True, self._items.popleft()
-        return False, None
-
-    def peek_all(self) -> list:
-        """Snapshot of queued items (for inspection/tests)."""
-        return list(self._items)
 
 
 class Pipe:
@@ -172,8 +17,7 @@ class Pipe:
 
     Models a wire, a DMA engine, or a bus: transfers queue FIFO; each
     occupies the stage for ``setup_s + nbytes / bandwidth_Bps`` seconds,
-    after which the completion event fires (:meth:`transfer`) or the
-    caller's continuation runs (:meth:`transfer_then`).
+    after which the caller's continuation runs (:meth:`transfer_then`).
 
     Parameters
     ----------
@@ -231,21 +75,10 @@ class Pipe:
         self.total_items += 1
         return (done + self.latency_s) - now
 
-    def transfer(self, nbytes: int, payload: Any = None) -> Event:
-        """Enqueue a transfer; returns an event firing at *delivery* time
-        with ``payload`` as its value."""
-        delay_s = self._reserve(nbytes)
-        ev = Event(self.engine)
-        ev._ok = True
-        ev._value = payload
-        self.engine._enqueue(ev, 1, delay_s)
-        return ev
-
     def transfer_then(self, nbytes: int, fn: Callable[[Any], None],
                       arg: Any = None) -> None:
-        """Like :meth:`transfer`, but call ``fn(arg)`` at delivery time
-        instead of firing an event — the same heap key, with no event for
-        callers that never wait on one."""
+        """Enqueue a transfer of ``nbytes``; call ``fn(arg)`` at *delivery*
+        time (stage exit plus ``latency_s``) as a heap continuation."""
         self.engine._call(fn, arg, self._reserve(nbytes))
 
     def transfer_at_then(self, res_time_s: float, nbytes: int,

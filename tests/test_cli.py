@@ -41,6 +41,21 @@ class TestPointCommands:
         assert "availability" in out
 
 
+    def test_profile_output_pinned(self, capsys):
+        """``comb profile`` stdout is a pure function of the simulation:
+        the point line, per-label kernel rows and CPU shares are pinned."""
+        rc = main(["profile", "--system", "Portals"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert lines[0] == "Portals: bw=47.78 MB/s, availability=0.296"
+        assert lines[2] == "[worker] node0.cpu0: kernel 24.447 ms"
+        assert lines[3] == ("  portals_rx           n=221     total=   "
+                            "16.203 ms  mean=  73.32 us")
+        assert lines.count(
+            "  shares: user=0.312 kernel=0.688 idle=0.000") == 2
+        assert "[support] node1.cpu0: kernel 24.447 ms" in lines
+
+
 class TestFiguresCommand:
     def test_single_figure_with_export(self, capsys, tmp_path):
         rc = main(["figures", "--ids", "fig13", "--out", str(tmp_path),

@@ -5,13 +5,12 @@ import pytest
 from repro.config import portals_system, gm_system
 from repro.core import PollingConfig, PwwConfig, run_polling, run_pww
 from repro.ext import (
-    build_custom_world,
+    OffloadNicDevice,
     coalesced_portals,
     offload_nic_system,
     run_smp_polling,
     smp_system,
 )
-from repro.transport.portals import PortalsDevice
 
 KB = 1024
 
@@ -105,7 +104,12 @@ class TestOffloadNic:
         assert pww.wait_s < 1e-4          # offloaded
         assert abs(pww.overhead_s) < 5e-5  # and interrupt-free
 
-    def test_custom_world_builder(self):
-        world = build_custom_world(portals_system(), PortalsDevice)
+    def test_registered_device_builds_world(self):
+        """``register_device`` is the plug-in path: every world built for
+        the registered system name runs the custom device."""
+        from repro.mpi import build_world
+
+        world = build_world(offload_nic_system())
         assert world.size == 2
-        assert isinstance(world.endpoint(0).device, PortalsDevice)
+        assert all(isinstance(ep.device, OffloadNicDevice)
+                   for ep in world.endpoints)

@@ -234,6 +234,44 @@ def test_compare_history_stays_within_its_population(tmp_path):
     assert all(c.n_a == 2 and c.median_a == 5.0 for c in report.comparisons)
 
 
+def _stratum_doc(total_s, figures=("fig04",), python="3.11.7"):
+    return {**_bench_doc(total_s, total_s), "compiled": False,
+            "per_decade": 1, "jobs": 1, "python": python,
+            "figures": {fig_id: total_s for fig_id in figures}}
+
+
+ALL_FIGURES = tuple(f"fig{n:02d}" for n in range(4, 18))
+
+
+def test_compare_history_never_judges_subset_against_suite(tmp_path):
+    """A 2-figure record is a different population from 14-figure
+    records: figures share memoised points, so timing a subset alone
+    simulates points the full suite found cached."""
+    for n in (1, 2, 3):
+        _write(tmp_path / f"BENCH_{n}.json", _stratum_doc(1.0, ALL_FIGURES))
+    _write(tmp_path / "BENCH_4.json",
+           _stratum_doc(9.0, ("fig04", "fig11")))
+    assert compare_history(tmp_path) is None
+
+
+def test_compare_history_never_judges_across_python(tmp_path):
+    for n in (1, 2, 3):
+        _write(tmp_path / f"BENCH_{n}.json", _stratum_doc(1.0, python="3.11.7"))
+    _write(tmp_path / "BENCH_4.json", _stratum_doc(9.0, python="3.12.3"))
+    assert compare_history(tmp_path) is None
+
+
+def test_compare_history_flags_slowdown_within_stratum(tmp_path):
+    """Same stratum, every timing 20% slower: still a regression."""
+    for n, total in ((1, 1.0), (2, 1.0), (3, 1.2)):
+        _write(tmp_path / f"BENCH_{n}.json",
+               _stratum_doc(total, ("fig04", "fig11")))
+    report = compare_history(tmp_path)
+    assert report is not None and report.exit_code == 1
+    assert {c.name for c in report.regressions} == {
+        "total_s", "figures.fig04", "figures.fig11"}
+
+
 # ---------------------------------------------------------------- CLI seam
 def test_cli_compare_identical(tmp_path, capsys):
     from repro.cli import main

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    Engine,
-    ProcessInterrupt,
-    SimulationError,
-    StopProcess,
-)
+from repro.sim import Engine, SimulationError, StopProcess
 
 
 @pytest.fixture
@@ -136,44 +131,3 @@ class TestWaiting:
         engine.spawn(waiter("b"))
         engine.run()
         assert sorted(results) == [("a", "shared"), ("b", "shared")]
-
-
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self, engine):
-        def proc():
-            try:
-                yield engine.timeout(10.0)
-            except ProcessInterrupt as exc:
-                return ("interrupted", exc.cause)
-
-        p = engine.spawn(proc())
-        engine.schedule_callback(1.0, lambda: p.interrupt("why"))
-        assert engine.run(p) == ("interrupted", "why")
-        assert engine.now == 1.0
-
-    def test_interrupt_detaches_from_old_target(self, engine):
-        order = []
-
-        def proc():
-            try:
-                yield engine.timeout(5.0)
-            except ProcessInterrupt:
-                order.append("intr")
-            yield engine.timeout(1.0)
-            order.append("resumed")
-
-        p = engine.spawn(proc())
-        engine.schedule_callback(1.0, lambda: p.interrupt())
-        engine.run(p)
-        assert order == ["intr", "resumed"]
-        assert engine.now == 2.0
-
-    def test_interrupt_finished_process_rejected(self, engine):
-        def proc():
-            return None
-            yield  # pragma: no cover
-
-        p = engine.spawn(proc())
-        engine.run(p)
-        with pytest.raises(SimulationError):
-            p.interrupt()

@@ -10,7 +10,7 @@ requires byte-identical measurements and identical event accounting.
 """
 
 from repro.config import gm_system, portals_system
-from repro.core.polling import PollingConfig, _support, _WorkerState, _worker
+from repro.core.polling import PollingConfig, spawn_polling
 from repro.mpi import build_world
 from repro.patterns import PatternConfig
 from repro.patterns.runner import _assemble, _rank_proc, build_pattern_world
@@ -25,9 +25,7 @@ CFG = PollingConfig(msg_bytes=100 * KB, poll_interval_iters=1_000,
 
 def _run_with(system, stepped: bool):
     world = build_world(system)
-    state = _WorkerState()
-    worker = world.engine.spawn(_worker(world, CFG, state), name="worker")
-    world.engine.spawn(_support(world, CFG), name="support")
+    worker = spawn_polling(world, CFG)
     if stepped:
         # run(until=worker) stops after *processing* the worker's
         # termination event; stepping to `triggered` would stop one
@@ -36,8 +34,8 @@ def _run_with(system, stepped: bool):
             world.engine.step()
     else:
         world.engine.run(worker)
-    assert state.result is not None
-    return state.result, world.engine.events_processed
+    assert worker.value is not None
+    return worker.value, world.engine.events_processed
 
 
 @pytest.mark.parametrize("factory", [gm_system, portals_system],
