@@ -26,10 +26,6 @@ class ClaimResult:
     detail: str
 
 
-def _first_last(curve) -> tuple:
-    return curve.y[0], curve.y[-1]
-
-
 def check_fig04(fig: FigureData) -> List[ClaimResult]:
     """Availability: low stable plateau, then a steep rise towards ~1."""
     out = []

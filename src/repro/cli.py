@@ -97,6 +97,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 import uuid
@@ -147,6 +148,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:  # NaN fails too
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {value}"
+        )
+    return value
+
+
 def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=_positive_int, default=1, metavar="N",
@@ -170,7 +187,7 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
         "render CI bands",
     )
     parser.add_argument(
-        "--ci-width", type=float, default=None, metavar="W",
+        "--ci-width", type=_nonnegative_float, default=None, metavar="W",
         help="adaptive stopping: stop replicating a point once its "
         "availability bootstrap CI is at most this wide (cap: --reps); "
         "default: fixed --reps design",
@@ -401,18 +418,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polling", help="one polling-method measurement")
     _add_system(p)
-    p.add_argument("--size", type=float, default=100, help="message size (KB)")
-    p.add_argument("--interval", type=int, default=10_000,
+    p.add_argument("--size", type=_nonnegative_float, default=100,
+                   help="message size (KB)")
+    p.add_argument("--interval", type=_positive_int, default=10_000,
                    help="poll interval (loop iterations)")
-    p.add_argument("--queue-depth", type=int, default=4)
+    p.add_argument("--queue-depth", type=_positive_int, default=4)
     _add_check_flag(p)
 
     p = sub.add_parser("pww", help="one post-work-wait measurement")
     _add_system(p)
-    p.add_argument("--size", type=float, default=100, help="message size (KB)")
-    p.add_argument("--interval", type=int, default=100_000,
+    p.add_argument("--size", type=_nonnegative_float, default=100,
+                   help="message size (KB)")
+    p.add_argument("--interval", type=_nonnegative_int, default=100_000,
                    help="work interval (loop iterations)")
-    p.add_argument("--tests-in-work", type=int, default=0,
+    p.add_argument("--tests-in-work", type=_nonnegative_int, default=0,
                    help="MPI_Test calls inserted early in the work phase")
     _add_check_flag(p)
 
@@ -450,25 +469,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("offload", help="application-offload verdict (§4.1)")
     _add_system(p)
-    p.add_argument("--size", type=float, default=100, help="message size (KB)")
+    p.add_argument("--size", type=_nonnegative_float, default=100,
+                   help="message size (KB)")
 
     p = sub.add_parser("netperf", help="netperf-style availability (§5)")
     _add_system(p)
-    p.add_argument("--size", type=float, default=100, help="message size (KB)")
+    p.add_argument("--size", type=_nonnegative_float, default=100,
+                   help="message size (KB)")
     p.add_argument("--mode", default="busywait",
                    choices=("blocking", "busywait"))
 
     p = sub.add_parser("figures", help="regenerate paper figures")
     p.add_argument("--ids", nargs="*", default=None,
                    help="figure ids (default: all of fig04..fig17)")
-    p.add_argument("--per-decade", type=int, default=2)
+    p.add_argument("--per-decade", type=_positive_int, default=2)
     p.add_argument("--out", default=None,
                    help="directory for CSV/JSON export")
     p.add_argument("--no-plots", action="store_true")
     _add_executor_flags(p)
 
     p = sub.add_parser("report", help="full reproduction report with claims")
-    p.add_argument("--per-decade", type=int, default=2)
+    p.add_argument("--per-decade", type=_positive_int, default=2)
     _add_executor_flags(p)
 
     p = sub.add_parser(
@@ -478,7 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--ids", nargs="*", default=None,
                    help="subset of figure ids (default: all)")
-    p.add_argument("--per-decade", type=int, default=1,
+    p.add_argument("--per-decade", type=_positive_int, default=1,
                    help="grid resolution (default: 1, the coarse grid)")
     p.add_argument("--out-dir", default=None,
                    help="trajectory directory (default: results/bench)")
@@ -512,7 +533,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    "vs candidate run (file or directory each)")
     p.add_argument("--systems", nargs="*", default=None,
                    help="preset names (default: all, plus the offload NIC)")
-    p.add_argument("--size", type=float, default=100,
+    p.add_argument("--size", type=_nonnegative_float, default=100,
                    help="message size (KB)")
     p.add_argument("--min-rel", type=float, default=None, metavar="FRAC",
                    help="minimum relative slowdown to call a regression "
@@ -565,8 +586,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="kernel-time breakdown of a polling run (per node, by label)",
     )
     _add_system(p)
-    p.add_argument("--size", type=float, default=100, help="message size (KB)")
-    p.add_argument("--interval", type=int, default=1_000,
+    p.add_argument("--size", type=_nonnegative_float, default=100,
+                   help="message size (KB)")
+    p.add_argument("--interval", type=_positive_int, default=1_000,
                    help="poll interval (loop iterations)")
 
     p = sub.add_parser(
@@ -579,9 +601,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    "'polling', 'pww', or a pattern kind "
                    "(halo/halo2d/halo3d/sweep/allreduce)")
     _add_system(p)
-    p.add_argument("--size", type=float, default=100,
+    p.add_argument("--size", type=_nonnegative_float, default=100,
                    help="message size (KB; point targets)")
-    p.add_argument("--interval", type=int, default=None,
+    p.add_argument("--interval", type=_nonnegative_int, default=None,
                    help="poll/work interval in loop iterations "
                    "(point targets; default: the method's default)")
     p.add_argument("--ranks", type=_positive_int, default=4,
@@ -589,7 +611,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", default="crossbar",
                    choices=("crossbar", "fattree"),
                    help="network fabric (pattern targets)")
-    p.add_argument("--per-decade", type=int, default=1,
+    p.add_argument("--per-decade", type=_positive_int, default=1,
                    help="grid resolution (figure targets; default: 1)")
     p.add_argument("--out", default="results/trace",
                    help="export directory (default: results/trace)")

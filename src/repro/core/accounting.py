@@ -2,11 +2,11 @@
 
 The engine counts every heap event it dispatches
 (:attr:`repro.sim.engine.Engine.events_processed`) — the cost model of
-the simulator itself, and the number the NIC fast pump and quiescence
-fast-forward exist to shrink.  Each engine dies with its world, so the
-method runners deposit their final counts here; the sweep executor
-drains the tally into the metrics registry (``sim.events_processed``)
-and ``BENCH_<n>.json`` records it per trajectory point.
+the simulator itself, and the number the NIC fast pump exists to
+shrink.  Each engine dies with its world, so the method runners deposit
+their final counts here; the sweep executor drains the tally into the
+metrics registry (``sim.events_processed``) and ``BENCH_<n>.json``
+records it per trajectory point.
 
 The tally is process-local by design: points simulated in pool workers
 tally in *their* processes and are not shipped back.  Serial runs (the

@@ -9,8 +9,8 @@ older ones.
 
 Each record carries total and per-figure wall time, the executor cache
 hit rate, the engine event count (the simulator's own cost model — the
-NIC fast pump and quiescence fast-forward exist to shrink it), whether the
-compiled core was active, and optionally a cProfile top table over one
+NIC fast pump exists to shrink it), whether the compiled core was
+active, and optionally a cProfile top table over one
 figure (``profile=...``) so hot-path claims in CHANGES.md are backed by
 recorded evidence.
 """
@@ -93,7 +93,7 @@ def run_bench(
     ``echo`` receives one progress line per figure.  ``ledger`` is an
     open :class:`~repro.obs.ledger.RunLedger`: every point outcome and
     the closing run summary are appended to it (timing is unchanged —
-    point logging costs two timestamps per simulated point).  The record
+    the executor times every simulated point either way).  The record
     is :func:`~repro.obs.ledger.run_fields` plus the BENCH-only
     ``per_decade``, ``cache_enabled``, ``metrics``, ``events_processed``
     and ``profile``.

@@ -153,37 +153,17 @@ def _point_marker(task: PointTask) -> Tuple[str, str, int, int, int]:
 
 
 def _sim_entry(
-    task: PointTask, check: bool = False, timed: bool = False
+    task_and_key: Tuple[PointTask, str], check: bool = False
 ) -> Tuple[Point, List[Any], float]:
-    """Uniform worker entry: ``(point, violations, wall_s)``.
+    """The worker entry: ``(point, violations, wall_s)``.
 
     Module-level so ``functools.partial`` of it pickles into the spawn
     pool.  ``wall_s`` is measured *inside* the worker, so pool timings
-    profile simulation cost, not dispatch latency.  With ``timed`` and
-    ``check`` both off this is :func:`run_task` plus two constants —
-    the point itself is bit-identical in every mode.
-    """
-    t0_wall = time.perf_counter() if timed else 0.0
-    if check:
-        point, violations = run_task_checked(task)
-    else:
-        point, violations = run_task(task), []
-    wall_s = time.perf_counter() - t0_wall if timed else 0.0
-    return point, violations, wall_s
-
-
-def _sim_entry_live(
-    task_and_key: Tuple[PointTask, str],
-    check: bool = False,
-    timed: bool = False,
-) -> Tuple[Point, List[Any], float]:
-    """:func:`_sim_entry` bracketed by live telemetry lifecycle events.
-
-    Module-level for spawn-pool pickling.  Runs in the emitting process
-    (pool worker, or the parent on the serial path), so the emitted
-    ``point_start`` / ``point_end`` carry *that* process's pid and
-    cumulative drop counts.  Telemetry is observation-only: the returned
-    point is bit-identical to :func:`_sim_entry`'s.
+    profile simulation cost, not dispatch latency.  The run is bracketed
+    by live telemetry ``point_start`` / ``point_end`` events from the
+    process it runs in (pool worker, or the parent on the serial path);
+    both are no-ops unless that process is armed.  Neither timing nor
+    telemetry touches the point: it is bit-identical in every mode.
     """
     task, key = task_and_key
     kind, system, msg_bytes, interval_iters, _warmup_windows = (
@@ -194,9 +174,14 @@ def _sim_entry_live(
         "msg_bytes": msg_bytes,
         "interval_iters": interval_iters,
     })
-    result = _sim_entry(task, check=check, timed=timed)
-    _live.note_point_end(key, kind, result[2])
-    return result
+    t0_wall = time.perf_counter()
+    if check:
+        point, violations = run_task_checked(task)
+    else:
+        point, violations = run_task(task), []
+    wall_s = time.perf_counter() - t0_wall
+    _live.note_point_end(key, kind, wall_s)
+    return point, violations, wall_s
 
 
 # --------------------------------------------------------------------- keys
@@ -389,9 +374,6 @@ class SweepExecutor:
     cache:
         ``None`` (default) disables the on-disk cache; a :class:`PointCache`
         or a path enables it.
-    memoize:
-        Keep an in-process memo of completed points (default on).  Purely
-        an intra-run dedup: determinism makes it value-transparent.
     check:
         Run every simulated point under the simulation sanitizer
         (:mod:`repro.verify`) and collect invariant violations into
@@ -402,8 +384,9 @@ class SweepExecutor:
         A :class:`~repro.obs.metrics.MetricsRegistry` receiving
         wall-clock stage profiles: cache hit/miss lookup latency
         histograms, per-point simulation wall times, and worker fan-out
-        utilization per batch.  ``None`` (default) skips all wall-clock
-        reads — the unprofiled path takes no timestamps at all.
+        utilization per batch.  ``None`` (default) records none of them;
+        the walls are read on every path either way, and never reach
+        the points.
     reps:
         Replicate cap per sweep point.  ``1`` (default) is the classic
         single-shot path, bit-identical to the pre-replication executor.
@@ -421,21 +404,22 @@ class SweepExecutor:
         A :class:`~repro.obs.live.TelemetryChannel` receiving live point
         lifecycle events and per-worker heartbeats (see
         :mod:`repro.obs.live`).  Pool workers are armed through the pool
-        initializer; on the serial path the parent arms itself.
+        initializer; on the serial path the parent arms itself.  Keep
+        the channel drained (a running hub) until :meth:`close` returns:
+        workers flush their buffered events before they exit.
         ``None`` (default) is the detached path — no queue, no arming,
-        bit-identical results and walls.
+        bit-identical results.
     point_log:
         Record one parent-side outcome dict per point into
         :attr:`point_records` (key, kind, system, hit/miss/duplicate,
-        wall, seed) — the run ledger's feed.  Implied timing only; the
-        points themselves are untouched.
+        wall, seed) — the run ledger's feed.  The points themselves are
+        untouched.
     """
 
     def __init__(
         self,
         jobs: int = 1,
         cache: Union[None, str, Path, PointCache] = None,
-        memoize: bool = True,
         check: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         reps: int = 1,
@@ -451,7 +435,6 @@ class SweepExecutor:
         if cache is not None and not isinstance(cache, PointCache):
             cache = PointCache(cache)
         self.cache = cache
-        self.memoize = memoize
         self.check = check
         self.metrics = metrics
         self.reps = reps
@@ -462,8 +445,6 @@ class SweepExecutor:
         #: ``telemetry`` set): the run ledger's input.
         self.point_records: List[Dict[str, Any]] = []
         self._armed_serial = False
-        #: Per-task walls of the most recent :meth:`_simulate` batch.
-        self._last_walls_s: List[float] = []
         self.stats = CacheStats()
         #: Violations collected from checked simulations (``check=True``).
         self.violations: List[Any] = []
@@ -477,9 +458,14 @@ class SweepExecutor:
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
+        """Shut the worker pool down (idempotent).
+
+        Workers exit on their own, so each flushes its telemetry queue
+        first: a terminated worker can lose a ``point_end`` still
+        buffered in its queue's feeder thread.
+        """
         if self._pool is not None:
-            self._pool.terminate()
+            self._pool.close()
             self._pool.join()
             self._pool = None
         if self._armed_serial:
@@ -489,7 +475,10 @@ class SweepExecutor:
     def __enter__(self) -> "SweepExecutor":
         return self
 
-    def __exit__(self, *exc: object) -> None:
+    def __exit__(self, exc_type: object, *exc: object) -> None:
+        if exc_type is not None and self._pool is not None:
+            # On an error (Ctrl-C included) do not wait out running points.
+            self._pool.terminate()
         self.close()
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
@@ -503,18 +492,17 @@ class SweepExecutor:
         if self._pool is None:
             ctx = multiprocessing.get_context("spawn")
             self._pool_size = min(self.jobs, max(want, 1))
-            if self.telemetry is not None:
-                # Arm every worker as a telemetry emitter: the bounded
-                # queue inherits through initargs (the only channel a
-                # spawn worker can receive an mp.Queue over).
-                self._pool = ctx.Pool(
-                    processes=self._pool_size,
-                    initializer=_live.pool_worker_init,
-                    initargs=(self.telemetry.queue,
-                              self.telemetry.heartbeat_s),
-                )
-            else:
-                self._pool = ctx.Pool(processes=self._pool_size)
+            telemetry = self.telemetry
+            # With telemetry, arm every worker as an emitter: the bounded
+            # queue inherits through initargs (the only channel a spawn
+            # worker can receive an mp.Queue over).
+            self._pool = ctx.Pool(
+                processes=self._pool_size,
+                initializer=(_live.pool_worker_init
+                             if telemetry is not None else None),
+                initargs=((telemetry.queue, telemetry.heartbeat_s)
+                          if telemetry is not None else ()),
+            )
         return self._pool
 
     # ------------------------------------------------------------- execution
@@ -545,7 +533,6 @@ class SweepExecutor:
     def _run_base(self, tasks: Sequence[PointTask]) -> List[Any]:
         """Single-shot execution: one simulation (or cache hit) per task."""
         salt = code_salt()
-        lookup = self._lookup if self.metrics is None else self._lookup_profiled
         # Outcome notes feed the ledger (point_log), the live stream
         # (telemetry), and the trace's executor row (ambient observer).
         live_on = (self.point_log or self.telemetry is not None
@@ -565,7 +552,7 @@ class SweepExecutor:
                 if live_on:
                     self._note_outcome(key, task, "duplicate", None)
                 continue
-            point = lookup(key, task.kind)
+            point = self._lookup(key, task.kind)
             if point is not None:
                 results[i] = point
                 n_hits += 1
@@ -582,12 +569,9 @@ class SweepExecutor:
             )
         if pending:
             fresh = self._simulate(
-                [t for _i, _k, t in pending],
-                keys=[k for _i, k, _t in pending],
+                [t for _i, _k, t in pending], [k for _i, k, _t in pending]
             )
-            for (i, key, task), point, wall_s in zip(
-                pending, fresh, self._last_walls_s
-            ):
+            for (i, key, task), (point, wall_s) in zip(pending, fresh):
                 results[i] = point
                 self._store(key, task.kind, point)
                 if live_on:
@@ -738,75 +722,61 @@ class SweepExecutor:
 
     # -------------------------------------------------------------- plumbing
     def _lookup(self, key: str, kind: str) -> Optional[Point]:
-        if self.memoize and key in self._memo:
-            self.stats.hits += 1
-            return dataclasses.replace(self._memo[key])
-        if self.cache is not None:
+        """The memo, then the on-disk cache; ``None`` on a miss.
+
+        Counts the outcome in :attr:`stats` and, with ``metrics`` set, in
+        the hit/miss/eviction counters and lookup-latency histograms.
+        """
+        t0_wall = time.perf_counter()
+        evictions_before = self.stats.evictions
+        point: Optional[Point] = None
+        if key in self._memo:
+            point = dataclasses.replace(self._memo[key])
+        elif self.cache is not None:
             point = self.cache.get(key, kind)
             self.stats.evictions = self.cache.evictions - self._evictions_base
             if point is not None:
-                self.stats.hits += 1
-                if self.memoize:
-                    self._memo[key] = dataclasses.replace(point)
-                return point
-        self.stats.misses += 1
-        return None
-
-    def _lookup_profiled(self, key: str, kind: str) -> Optional[Point]:
-        """:meth:`_lookup` wrapped in wall-clock metrics (``metrics`` set)."""
-        metrics = self.metrics
-        assert metrics is not None
-        evictions_before = self.stats.evictions
-        t0_wall = time.perf_counter()
-        point = self._lookup(key, kind)
-        wall_s = time.perf_counter() - t0_wall
+                self._memo[key] = dataclasses.replace(point)
         if point is not None:
-            metrics.counter("executor.cache.hits").inc()
-            metrics.histogram(
-                "executor.lookup_hit_s", DEFAULT_LATENCY_BUCKETS_S
-            ).observe(wall_s)
+            self.stats.hits += 1
         else:
-            metrics.counter("executor.cache.misses").inc()
+            self.stats.misses += 1
+        metrics = self.metrics
+        if metrics is not None:
+            hit = point is not None
+            metrics.counter(
+                "executor.cache.hits" if hit else "executor.cache.misses"
+            ).inc()
             metrics.histogram(
-                "executor.lookup_miss_s", DEFAULT_LATENCY_BUCKETS_S
-            ).observe(wall_s)
-        evicted = self.stats.evictions - evictions_before
-        if evicted:
-            metrics.counter("executor.cache.evictions").inc(evicted)
+                "executor.lookup_hit_s" if hit else "executor.lookup_miss_s",
+                DEFAULT_LATENCY_BUCKETS_S,
+            ).observe(time.perf_counter() - t0_wall)
+            evicted = self.stats.evictions - evictions_before
+            if evicted:
+                metrics.counter("executor.cache.evictions").inc(evicted)
         return point
 
     def _store(self, key: str, kind: str, point: Point) -> None:
-        if self.memoize:
-            self._memo[key] = dataclasses.replace(point)
+        self._memo[key] = dataclasses.replace(point)
         if self.cache is not None:
             self.cache.put(key, kind, point)
 
     def _simulate(
-        self,
-        tasks: Sequence[PointTask],
-        keys: Optional[Sequence[str]] = None,
-    ) -> List[Any]:
+        self, tasks: Sequence[PointTask], keys: Sequence[str]
+    ) -> List[Tuple[Point, float]]:
+        """Simulate ``tasks`` (cache keys ``keys``); ``(point, wall_s)``
+        pairs in task order."""
         metrics = self.metrics
         telemetry = self.telemetry
-        timed = metrics is not None or telemetry is not None or self.point_log
-        live_entry = telemetry is not None and keys is not None
-        t_batch0_s = time.perf_counter() if timed else 0.0
-        entry = partial(_sim_entry, check=self.check, timed=timed)
-        pooled = self.jobs > 1 and len(tasks) > 1
+        t_batch0_s = time.perf_counter()
+        entry = partial(_sim_entry, check=self.check)
+        items = list(zip(tasks, keys))
+        pooled = self.jobs > 1 and len(items) > 1
         if pooled:
-            pool = self._get_pool(len(tasks))
             # chunksize=1: tasks are coarse (whole simulations); dynamic
             # dispatch balances wildly uneven point costs.  pool.map keeps
             # result order == task order, preserving determinism.
-            if live_entry:
-                assert keys is not None
-                raw = pool.map(
-                    partial(_sim_entry_live, check=self.check, timed=timed),
-                    list(zip(tasks, keys)),
-                    chunksize=1,
-                )
-            else:
-                raw = pool.map(entry, tasks, chunksize=1)
+            raw = self._get_pool(len(items)).map(entry, items, chunksize=1)
         else:
             if telemetry is not None and not _live.worker_armed():
                 # Serial path: the parent is the (sole) worker — arm it
@@ -819,33 +789,19 @@ class SweepExecutor:
             # emitted *around* simulation — they never touch it.
             obs = current_observer()
             tracer = obs.tracer if obs is not None else None
-            if tracer is None and not live_entry:
-                raw = [entry(t) for t in tasks]
-            else:
-                assert keys is not None or not live_entry
-                raw = []
-                for idx, t in enumerate(tasks):
-                    if tracer is not None:
-                        tracer.record(0.0, "executor", "point_start",
-                                      _point_marker(t))
-                    if live_entry:
-                        assert keys is not None
-                        raw.append(_sim_entry_live(
-                            (t, keys[idx]), check=self.check, timed=timed
-                        ))
-                    else:
-                        raw.append(entry(t))
-                    if tracer is not None:
-                        tracer.record(0.0, "executor", "point_end",
-                                      (t.kind,))
-        points: List[Any] = []
+            raw = []
+            for item in items:
+                if tracer is not None:
+                    tracer.record(0.0, "executor", "point_start",
+                                  _point_marker(item[0]))
+                raw.append(entry(item))
+                if tracer is not None:
+                    tracer.record(0.0, "executor", "point_end",
+                                  (item[0].kind,))
         busy_s = 0.0
-        for point, violations, wall_s in raw:
-            points.append(point)
-            if violations:
-                self.violations.extend(violations)
+        for _point, violations, wall_s in raw:
+            self.violations.extend(violations)
             busy_s += wall_s
-        self._last_walls_s = [wall_s for _point, _violations, wall_s in raw]
         # Drain unconditionally so counts never leak into a later executor;
         # pooled points tallied in worker processes are lost by design (see
         # repro.core.accounting).
@@ -855,7 +811,7 @@ class SweepExecutor:
                 metrics.counter("sim.events_processed").inc(events)
             batch_wall_s = time.perf_counter() - t_batch0_s
             metrics.counter("executor.batches").inc()
-            metrics.counter("executor.points_simulated").inc(len(tasks))
+            metrics.counter("executor.points_simulated").inc(len(items))
             metrics.counter("executor.simulate_wall_s").inc(batch_wall_s)
             task_hist = metrics.histogram(
                 "executor.task_wall_s", DEFAULT_LATENCY_BUCKETS_S
@@ -870,7 +826,7 @@ class SweepExecutor:
                 metrics.gauge("executor.fanout_utilization").set(
                     busy_s / (batch_wall_s * slots)
                 )
-        return points
+        return [(point, wall_s) for point, _violations, wall_s in raw]
 
 
 # --------------------------------------------------------- default resolution

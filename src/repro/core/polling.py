@@ -14,16 +14,16 @@ The same driver serves several support peers (one per extra node, see
 answers each message to its sender.
 
 Simulation note: runs of *empty* poll cycles (work + negative test) are
-deterministic, so they are aggregated (:mod:`repro.core.quiescence`) into a
-single CPU occupation that
-ends — rounded up to the cycle boundary — when the device signals activity.
-This is exact with respect to the method's semantics (a completion is
-always discovered at a poll boundary) and keeps event counts proportional
-to message traffic rather than poll frequency.
+deterministic, so they are aggregated (:func:`_absorb_empty_cycles`) into a
+single CPU occupation that ends — rounded up to the cycle boundary — when
+the device signals activity.  This is exact with respect to the method's
+semantics (a completion is always discovered at a poll boundary) and keeps
+event counts proportional to message traffic rather than poll frequency.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator, Iterator, List, Tuple
 
@@ -32,13 +32,14 @@ from ..mpi.request import Request
 from ..mpi.world import World, build_world
 from ..sim.units import msec
 from .accounting import tally_events
-from .quiescence import absorb_empty_cycles
 from .results import PollingPoint
 from .workloop import work_time
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..hardware.cpu import CPU, CpuContext
     from ..hardware.topology import Topology
     from ..sim.process import Process
+    from ..transport.base import TransportDevice
 
 #: Message tag used by the benchmark streams.
 COMB_TAG = 11
@@ -175,7 +176,7 @@ def _worker(
             # A horizon bounds the spin at the warmup/measurement edge so a
             # fully stalled pipeline cannot overshoot the window.
             horizon_at = t_end_s if measuring else warmup_end
-            cycles = yield from absorb_empty_cycles(
+            cycles = yield from _absorb_empty_cycles(
                 cpu, ctx, dev, cycle_s, horizon_at
             )
             if cycles:
@@ -224,6 +225,38 @@ def _worker(
         msgs=delta.msgs_send_done + delta.msgs_recv_done,
         interrupts=node.irq.count - irq_start,
     )
+
+
+def _absorb_empty_cycles(
+    cpu: "CPU",
+    ctx: "CpuContext",
+    dev: "TransportDevice",
+    cycle_s: float,
+    horizon_at: float,
+) -> Generator[object, Any, int]:
+    """Spin ``ctx`` through whole empty poll cycles until the device
+    signals activity or ``horizon_at`` is reached, then land exactly on a
+    poll-cycle boundary.  Returns the number of cycles absorbed (>= 1 when
+    any spinning happened, 0 if the horizon had already passed).
+
+    A cycle is ``work + negative test``; a completion is always discovered
+    at a poll boundary, so rounding the spun time *up* to the next boundary
+    is exact with respect to the polling method's semantics.
+    """
+    engine = cpu.engine
+    remaining = horizon_at - engine.now
+    if remaining <= 0:
+        return 0
+    wake = dev.wakeup()
+    stop_ev = engine.any_of([wake, engine.timeout(remaining)])
+    u0 = cpu.context_time(ctx)
+    yield cpu.spin_until(ctx, stop_ev)
+    spun = cpu.context_time(ctx) - u0
+    cycles = math.floor(spun / cycle_s) + 1
+    remainder = cycles * cycle_s - spun
+    if remainder > 0:
+        yield ctx.compute(remainder)
+    return cycles
 
 
 def _support(world: World, cfg: PollingConfig, rank: int) -> Iterator[object]:

@@ -28,7 +28,6 @@ from ..config import SystemConfig
 from ..mpi.request import Request
 from ..mpi.world import World, build_world
 from .accounting import tally_events
-from .quiescence import quiescent_compute
 from .results import PwwPoint
 
 #: Message tag used by the benchmark streams.
@@ -91,7 +90,6 @@ def _worker(
     system = world.system
     node = world.cluster[0]
     ctx = node.new_context("comb.pww.worker")
-    cpu = ctx.cpu
     h = world.endpoint(0).bind(ctx)
     # Tracer seam (observability): hoisted so the detached path pays one
     # ``is None`` check per batch and nothing else.
@@ -135,10 +133,7 @@ def _worker(
                 yield from h.testsome(reqs)
             yield ctx.compute((cfg.work_interval_iters - head) * iter_s)
         else:
-            # No MPI calls in the work phase: when the node is otherwise
-            # silent (offload drained, no kernel work pending) the span is
-            # quiescent and the clock jumps it in one step.
-            yield from quiescent_compute(cpu, ctx, work_dry_s)
+            yield ctx.compute(work_dry_s)
         t2 = engine.now
 
         # ---------------------------------------------------- wait phase

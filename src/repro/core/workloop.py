@@ -15,7 +15,6 @@ from typing import Dict, Iterator
 from ..config import SystemConfig
 from ..hardware.cluster import Cluster
 from ..sim.engine import Engine
-from .quiescence import quiescent_compute
 
 #: Iterations used by the honest dry-run measurement.
 DRY_RUN_ITERS = 1_000_000
@@ -36,9 +35,7 @@ def dry_run_iter_time(system: SystemConfig) -> float:
 
     def loop() -> Iterator[object]:
         t0 = engine.now
-        # The dry run is quiescence by construction — an idle node, one
-        # context, nothing in flight — so the clock jumps the whole loop.
-        yield from quiescent_compute(ctx.cpu, ctx, DRY_RUN_ITERS * iter_s)
+        yield ctx.compute(DRY_RUN_ITERS * iter_s)
         result["elapsed"] = engine.now - t0
 
     proc = engine.spawn(loop(), name="dryrun")

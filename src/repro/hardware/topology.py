@@ -25,7 +25,7 @@ by :func:`repro.mpi.world.build_world`, which accepts ``topology=``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List
 
 from ..config import NicConfig, SwitchConfig, SystemConfig
 from ..sim.engine import Engine
@@ -180,10 +180,6 @@ class TreeSwitch:
         if port not in self._ports:
             raise ValueError(f"{self.name}: no port {port!r}")
         self._route[dst] = port
-
-    def port_link(self, key: str) -> Link:
-        """The output link on ``key`` (introspection/fault seam)."""
-        return self._ports[key]
 
     def ingress(self, packet: Packet) -> None:
         """Forward an arriving packet along its routed port."""

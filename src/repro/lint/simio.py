@@ -91,7 +91,7 @@ class HotPathIoRule(FileRule):
 
 
 #: Modules computing future instants analytically (the NIC fast pump's
-#: merged emission, ``Pipe.transfer_at_then``, quiescence fast-forward),
+#: merged emission, ``Pipe.transfer_at_then``, ``Engine.fast_forward``),
 #: where every timestamp must reproduce the legacy per-event float
 #: arithmetic bit for bit.
 BURST_REPLAY_MODULES: FrozenSet[str] = frozenset(
@@ -99,7 +99,6 @@ BURST_REPLAY_MODULES: FrozenSet[str] = frozenset(
         "hardware/nic.py",
         "sim/resources.py",
         "sim/engine.py",
-        "core/quiescence.py",
     }
 )
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..core.quiescence import quiescent_compute
 from ..mpi.collectives import (
     allreduce,
     allreduce_msgs,
@@ -37,13 +36,11 @@ class AllreducePlan:
         self.nbytes = cfg.msg_bytes
         self.collective = allreduce_rd if cfg.algorithm == "rd" else allreduce
 
-    def iteration(
-        self, h, ctx, cpu, work_dry_s: float
-    ) -> Iterator[object]:
+    def iteration(self, h, ctx, work_dry_s: float) -> Iterator[object]:
         """One work → allreduce cycle; returns phase durations."""
-        engine = cpu.engine
+        engine = h.engine
         t0 = engine.now
-        yield from quiescent_compute(cpu, ctx, work_dry_s)
+        yield ctx.compute(work_dry_s)
         t2 = engine.now
         yield from self.collective(h, self.nbytes)
         t3 = engine.now

@@ -10,9 +10,8 @@ wait phase; an offloaded one drains them under the work interval.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Iterator, List
 
-from ..core.quiescence import quiescent_compute
 from ..mpi.request import Request
 from .config import PATTERN_TAG, PatternConfig, balanced_grid, grid_neighbors
 
@@ -30,11 +29,9 @@ class HaloPlan:
         #: proportionally more boundary data.
         self.nbytes = cfg.msg_bytes * cfg.ghost_width
 
-    def iteration(
-        self, h, ctx, cpu, work_dry_s: float
-    ) -> Iterator[object]:
+    def iteration(self, h, ctx, work_dry_s: float) -> Iterator[object]:
         """One post → work → wait cycle; returns phase durations."""
-        engine = cpu.engine
+        engine = h.engine
         t0 = engine.now
         reqs: List[Request] = []
         for peer in self.neighbors:
@@ -44,7 +41,7 @@ class HaloPlan:
             s = yield from h.isend(peer, self.nbytes, tag=PATTERN_TAG)
             reqs.append(s)
         t1 = engine.now
-        yield from quiescent_compute(cpu, ctx, work_dry_s)
+        yield ctx.compute(work_dry_s)
         t2 = engine.now
         yield from h.waitall(reqs)
         t3 = engine.now

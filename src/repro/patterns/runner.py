@@ -94,7 +94,6 @@ def _rank_proc(
     engine = world.engine
     node = world.cluster[rank]
     ctx = node.new_context(f"pattern.rank{rank}")
-    cpu = ctx.cpu
     h = world.endpoint(rank).bind(ctx)
     trace = engine.trace
     plan = _PLANS[cfg.pattern](cfg, rank)
@@ -103,7 +102,7 @@ def _rank_proc(
     work_dry_s = cfg.work_interval_iters * iter_s
 
     for _ in range(cfg.warmup_iterations):
-        yield from plan.iteration(h, ctx, cpu, work_dry_s)
+        yield from plan.iteration(h, ctx, work_dry_s)
     yield from barrier_all(h)
 
     t_start_s = engine.now
@@ -113,9 +112,7 @@ def _rank_proc(
     total = cfg.warmup_iterations + cfg.iterations
     for b in range(cfg.warmup_iterations, total):
         t0 = engine.now
-        post_s, work_s, wait_s = yield from plan.iteration(
-            h, ctx, cpu, work_dry_s
-        )
+        post_s, work_s, wait_s = yield from plan.iteration(h, ctx, work_dry_s)
         if trace is not None:
             # Schema: (batch_index, cycle_start_s, post_s, work_s, wait_s)
             # — identical to the PWW driver's, so attribution reuses it.

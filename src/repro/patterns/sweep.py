@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Iterator, List
 
-from ..core.quiescence import quiescent_compute
 from ..mpi.request import Request
 from .config import (
     PATTERN_TAG,
@@ -49,11 +48,9 @@ class SweepPlan:
         self.downstream.sort()
         self.nbytes = cfg.msg_bytes
 
-    def iteration(
-        self, h, ctx, cpu, work_dry_s: float
-    ) -> Iterator[object]:
+    def iteration(self, h, ctx, work_dry_s: float) -> Iterator[object]:
         """One wavefront step; returns phase durations."""
-        engine = cpu.engine
+        engine = h.engine
         t0 = engine.now
         rreqs: List[Request] = []
         for peer in self.upstream:
@@ -62,7 +59,7 @@ class SweepPlan:
         t1 = engine.now
         if rreqs:
             yield from h.waitall(rreqs)
-        yield from quiescent_compute(cpu, ctx, work_dry_s)
+        yield ctx.compute(work_dry_s)
         t2 = engine.now
         sreqs: List[Request] = []
         for peer in self.downstream:

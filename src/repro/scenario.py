@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Union
 
@@ -122,16 +123,31 @@ def _config(cls, extra: Dict[str, Any], **fields):
         raise ScenarioError(f"experiment 'config': {exc}") from None
 
 
+def _number(name: str, value: Any, low: int) -> float:
+    """``value`` when it is a finite number >= ``low``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not low <= value < math.inf):
+        raise ScenarioError(
+            f"{name!r} must be a finite number >= {low}, got {value!r}"
+        )
+    return value
+
+
+def _intervals(spec: Dict[str, Any], default: int, low: int) -> List[int]:
+    """The experiment's ``intervals``, in loop iterations."""
+    values = spec.get("intervals", [default])
+    if not isinstance(values, list):
+        raise ScenarioError(f"'intervals' must be a list, got {values!r}")
+    return [int(_number("intervals", value, low)) for value in values]
+
+
 def _run_experiment(
     system: SystemConfig,
     spec: Dict[str, Any],
     executor: SweepExecutor,
 ) -> Dict:
     kind = spec.get("kind")
-    msg_kb = spec.get("msg_kb", 100)
-    if isinstance(msg_kb, bool) or not isinstance(msg_kb, (int, float)):
-        raise ScenarioError(f"'msg_kb' must be a number, got {msg_kb!r}")
-    msg_bytes = int(msg_kb * KB)
+    msg_bytes = int(_number("msg_kb", spec.get("msg_kb", 100), 0) * KB)
     cfg_extra = spec.get("config", {})
     if not isinstance(cfg_extra, dict):
         raise ScenarioError("'config' must be an object")
@@ -141,19 +157,19 @@ def _run_experiment(
 
     if kind == "polling":
         points = []
-        for interval_iters in spec.get("intervals", [10_000]):
+        for interval_iters in _intervals(spec, 10_000, low=1):
             cfg = _config(
                 PollingConfig, cfg_extra,
-                msg_bytes=msg_bytes, poll_interval_iters=int(interval_iters),
+                msg_bytes=msg_bytes, poll_interval_iters=interval_iters,
             )
             points.append(run_point("polling", cfg))
         return {"kind": kind, "points": points}
     if kind == "pww":
         points = []
-        for interval_iters in spec.get("intervals", [100_000]):
+        for interval_iters in _intervals(spec, 100_000, low=0):
             cfg = _config(
                 PwwConfig, cfg_extra,
-                msg_bytes=msg_bytes, work_interval_iters=int(interval_iters),
+                msg_bytes=msg_bytes, work_interval_iters=interval_iters,
             )
             points.append(run_point("pww", cfg))
         return {"kind": kind, "points": points}

@@ -233,6 +233,31 @@ class TestParsing:
             main([])
 
 
+class TestOutOfRangeFlags:
+    """An out-of-range number is one ``error:`` line and exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["polling", "--size", "-1"],
+        ["polling", "--interval", "-5"],
+        ["pww", "--interval", "-1"],
+        ["offload", "--size", "-1"],
+        ["netperf", "--size", "-3"],
+        ["trace", "polling", "--size", "-2"],
+        ["figures", "--ids", "fig04", "--per-decade", "0"],
+        ["bench", "--per-decade", "-1"],
+        ["figures", "--reps", "2", "--ci-width", "-1"],
+        ["polling", "--size", "nan"],
+    ], ids=" ".join)
+    def test_one_error_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert "Traceback" not in err
+        assert len(errors) == 1 and "error: argument" in errors[0], err
+
+
 class TestBadPatternAndScenarioInput:
     """Bad pattern/scenario input is one ``error:`` line and exit 2."""
 
@@ -251,11 +276,22 @@ class TestBadPatternAndScenarioInput:
         "non-numeric-msg-kb": {"systems": [{"preset": "GM"}],
                                "experiments": [{"kind": "polling",
                                                 "msg_kb": "abc"}]},
+        "negative-msg-kb": {"systems": [{"preset": "GM"}],
+                            "experiments": [{"kind": "polling",
+                                             "msg_kb": -1}]},
+        "negative-polling-interval": {"systems": [{"preset": "GM"}],
+                                      "experiments": [{"kind": "polling",
+                                                       "intervals": [-5]}]},
+        "negative-pww-interval": {"systems": [{"preset": "GM"}],
+                                  "experiments": [{"kind": "pww",
+                                                   "intervals": [-5]}]},
     }
 
     @pytest.mark.parametrize("case", [
         "trace-capacity", "unknown-preset", "unknown-kind", "missing-file",
         "rank-capacity", "unknown-config-key", "non-numeric-msg-kb",
+        "negative-msg-kb", "negative-polling-interval",
+        "negative-pww-interval",
     ])
     def test_one_line_error(self, case, capsys, tmp_path):
         if case == "trace-capacity":

@@ -9,6 +9,7 @@ values the golden regression pins the direct path to.
 
 import dataclasses
 import json
+import signal
 from pathlib import Path
 
 import pytest
@@ -124,6 +125,23 @@ class TestPoolParity:
         with SweepExecutor(jobs=2) as ex:
             series = _poll(ex)
         assert series.xs("poll_interval_iters") == GRID
+
+    def test_close_lets_workers_exit_cleanly(self):
+        """A normal shutdown does not kill the workers, so each can flush
+        its telemetry queue before it exits."""
+        with SweepExecutor(jobs=2) as ex:
+            _poll(ex)
+            workers = list(ex._pool._pool)
+        assert [w.exitcode for w in workers] == [0, 0]
+
+    def test_error_exit_terminates_workers(self):
+        """On an error the pool is killed, not waited out."""
+        with pytest.raises(RuntimeError):
+            with SweepExecutor(jobs=2) as ex:
+                _poll(ex)
+                workers = list(ex._pool._pool)
+                raise RuntimeError("interrupted")
+        assert [w.exitcode for w in workers] == [-signal.SIGTERM] * 2
 
     def test_jobs_validation(self):
         with pytest.raises(ValueError):
@@ -304,13 +322,6 @@ class TestMemo:
         a = _poll(ex).points[0]
         b = _poll(ex).points[0]
         assert a == b and a is not b
-
-    def test_memoize_off_resimulates(self):
-        ex = SweepExecutor(jobs=1, memoize=False)
-        _poll(ex)
-        _poll(ex)
-        assert ex.stats.misses == 2 * len(GRID)
-        assert ex.stats.hits == 0
 
 
 # ----------------------------------------------------------------- resolution

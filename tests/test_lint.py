@@ -300,6 +300,16 @@ def test_real_tree_is_clean_with_empty_baseline():
     assert report.files_checked > 50
 
 
+def test_sim002_scope_names_existing_modules():
+    """A deleted module must not leave SIM002 scoped to a missing file."""
+    from repro.lint.simio import BURST_REPLAY_MODULES
+
+    src = Path(__file__).parent.parent / "src" / "repro"
+    missing = [m for m in sorted(BURST_REPLAY_MODULES)
+               if not (src / m).is_file()]
+    assert missing == []
+
+
 def test_shipped_baseline_is_empty():
     repo = Path(__file__).parent.parent
     doc = json.loads((repo / "tools" / "lint_baseline.json").read_text())

@@ -61,7 +61,7 @@ class TestLookupMetrics:
         cache = PointCache(tmp_path / "cache")
         SweepExecutor(cache=cache).run(TASKS)  # populate the disk cache
         reg = MetricsRegistry()
-        ex = SweepExecutor(cache=cache, metrics=reg, memoize=False)
+        ex = SweepExecutor(cache=cache, metrics=reg)
         ex.run(TASKS)
         assert reg.counter("executor.cache.hits").value == len(TASKS)
         assert "executor.cache.misses" not in reg
@@ -71,7 +71,7 @@ class TestLookupMetrics:
         cache = PointCache(tmp_path / "cache")
         SweepExecutor(cache=cache).run(TASKS[:1])  # one record on disk
         reg = MetricsRegistry()
-        SweepExecutor(cache=cache, metrics=reg, memoize=False).run(TASKS)
+        SweepExecutor(cache=cache, metrics=reg).run(TASKS)
         hits = reg.histogram("executor.lookup_hit_s").count
         misses = reg.histogram("executor.lookup_miss_s").count
         assert (hits, misses) == (1, 1)
@@ -86,7 +86,7 @@ class TestEvictionAccounting:
         SweepExecutor(cache=cache).run(TASKS)
         _corrupt(cache, TASKS[0])
         reg = MetricsRegistry()
-        ex = SweepExecutor(cache=cache, metrics=reg, memoize=False)
+        ex = SweepExecutor(cache=cache, metrics=reg)
         ex.run(TASKS)
         # The corrupt record was a miss (recomputed), the good one a hit.
         assert ex.stats.hits == 1
@@ -96,7 +96,7 @@ class TestEvictionAccounting:
         assert reg.counter("executor.cache.evictions").value == 1
         assert ex.stats.to_dict()["evictions"] == 1
         # The eviction recomputed and rewrote the record: clean next time.
-        ex2 = SweepExecutor(cache=cache, memoize=False)
+        ex2 = SweepExecutor(cache=cache)
         ex2.run(TASKS)
         assert ex2.stats.hits == 2
         assert ex2.stats.evictions == 0
@@ -107,7 +107,7 @@ class TestEvictionAccounting:
         for task in TASKS:
             _corrupt(cache, task)
         reg = MetricsRegistry()
-        ex = SweepExecutor(cache=cache, metrics=reg, memoize=False)
+        ex = SweepExecutor(cache=cache, metrics=reg)
         ex.run(TASKS)
         assert ex.stats.evictions == len(TASKS)
         assert reg.counter("executor.cache.evictions").value == len(TASKS)
@@ -118,12 +118,12 @@ class TestEvictionAccounting:
         cache = PointCache(tmp_path / "cache")
         SweepExecutor(cache=cache).run(TASKS)
         _corrupt(cache, TASKS[0])
-        ex1 = SweepExecutor(cache=cache, memoize=False)
+        ex1 = SweepExecutor(cache=cache)
         ex1.run(TASKS)
         assert ex1.stats.evictions == 1
         assert cache.evictions == 1
         # Fresh executor on the same (now healthy) cache: zero evictions.
-        ex2 = SweepExecutor(cache=cache, memoize=False)
+        ex2 = SweepExecutor(cache=cache)
         ex2.run(TASKS)
         assert ex2.stats.evictions == 0
         assert cache.evictions == 1  # cache lifetime count unchanged
